@@ -3,7 +3,7 @@
 
 PYTEST = PYTHONPATH=src python -m pytest
 
-.PHONY: verify verify-full ci bench bench-smoke
+.PHONY: verify verify-full ci ci-numpy ci-no-numpy ci-smoke bench bench-smoke
 
 # Tier-1: the fast suite (pytest.ini excludes `slow`-marked tests).
 verify:
@@ -14,64 +14,84 @@ verify:
 verify-full:
 	$(PYTEST) -q -m "slow or not slow"
 
-# What .github/workflows/ci.yml runs, locally: the tier-1 suite with
-# numpy, then the registry CLI smoke (the capability matrix plus one
-# downsized registry-driven experiment through the real CLI, both
-# engines), then the corpus-cache smoke (cold fill, warm replay with
-# identical output, verify), then the trial-store smoke (sqlite
-# cold fill, warm replay with identical output and a nonzero hit
-# tally, stat, a verified migration back to json-files), then the
-# churn smoke (a downsized E21 through the dynamic-graph flags, both
-# engines), then the serve smoke (a live `repro serve` daemon on a
-# small grid answering a concurrent query stream, every answer
-# verified bit-identical to the batch path and every shared-memory
-# segment verified unlinked on shutdown — once with the serving
-# defaults and once pinned to an explicit coalescing window with a
-# small batch-max so the batch-max flush path runs), then the suite
-# plus the
-# generator fallback with numpy import-blocked (a shim module shadows
-# it) to exercise the stdlib fallbacks and the clean "unavailable"
-# error paths of the ensemble engine and the vectorized generator;
-# the serve smoke runs again on the no-numpy leg (the service is pure
-# stdlib).
-ci:
+# The one CI script: .github/workflows/ci.yml runs `make ci-numpy` on
+# its numpy legs and `make ci-no-numpy` on the others; `make ci` runs
+# both here (the no-numpy leg blocks numpy with a shim module).
+#
+# ci-smoke drives the real CLI on whatever interpreter path
+# SMOKE_PATH names: the capability matrix, one downsized
+# registry-driven experiment (E20) with worker fan-out, the churn
+# smoke (a downsized E21 through the dynamic-graph flags), the serve
+# smoke (a live `repro serve` daemon on a small grid answering a
+# concurrent query stream, every answer verified bit-identical to the
+# batch path and every shared-memory segment verified unlinked on
+# shutdown — once with the serving defaults and once pinned to an
+# explicit coalescing window with a small batch-max so the batch-max
+# flush path runs), the trial-store smoke (sqlite cold fill, warm
+# replay with identical output and a nonzero hit tally, stat, a
+# verified migration back to json-files) and the store-agnostic
+# tier-1 subset with sqlite as the process default.
+#
+# ci-numpy adds the tier-1 suite, the corpus-cache smoke (cold fill,
+# warm replay with identical output, verify) and the fallback
+# identity check: `repro run E1,E3 --quick` prints byte-identical
+# output on the fast kernels and with numpy import-blocked (the
+# serial kernels the trial layer falls back to).
+#
+# ci-no-numpy runs the tier-1 suite and ci-smoke with numpy
+# import-blocked, exercising every stdlib fallback.
+NO_NUMPY = .ci-no-numpy
+NUMPY_SHIM = mkdir -p $(NO_NUMPY) && printf 'raise ImportError("numpy disabled for the no-numpy CI leg")\n' > $(NO_NUMPY)/numpy.py
+SMOKE_PATH = src
+REPRO = PYTHONPATH=$(SMOKE_PATH) python -m repro
+STORE_SMOKE = $(REPRO) run E17 --quick --set sizes=60,120 --set num_graphs=2 --cache-dir .ci-store --store-backend sqlite
+CORPUS_SMOKE = PYTHONPATH=src python -m repro run E17 --quick --set sizes=60,120 --set num_graphs=2 --corpus-dir .ci-corpus
+
+ci: ci-numpy ci-no-numpy
+
+ci-numpy:
 	$(PYTEST) -x -q
-	PYTHONPATH=src python -m repro list
-	PYTHONPATH=src python -m repro run E20 --quick --jobs 2 --backend frozen
-	PYTHONPATH=src python -m repro run E20 --quick --jobs 2 --engine ensemble --backend frozen
+	$(MAKE) --no-print-directory ci-smoke
 	rm -rf .ci-corpus
-	PYTHONPATH=src python -m repro run E17 --quick --set sizes=60,120 --set num_graphs=2 --generator vectorized --corpus-dir .ci-corpus | tee .ci-corpus-cold.log
+	$(CORPUS_SMOKE) | tee .ci-corpus-cold.log
 	grep -q "corpus: 0 hits, 4 misses" .ci-corpus-cold.log
-	PYTHONPATH=src python -m repro run E17 --quick --set sizes=60,120 --set num_graphs=2 --generator vectorized --corpus-dir .ci-corpus | tee .ci-corpus-warm.log
+	$(CORPUS_SMOKE) | tee .ci-corpus-warm.log
 	grep -q "corpus: 4 hits, 0 misses" .ci-corpus-warm.log
 	grep -v "^corpus:" .ci-corpus-cold.log > .ci-corpus-cold.trimmed
 	grep -v "^corpus:" .ci-corpus-warm.log > .ci-corpus-warm.trimmed
 	diff .ci-corpus-cold.trimmed .ci-corpus-warm.trimmed
 	PYTHONPATH=src python -m repro corpus verify .ci-corpus
 	rm -rf .ci-corpus .ci-corpus-cold.log .ci-corpus-warm.log .ci-corpus-cold.trimmed .ci-corpus-warm.trimmed
+	@$(NUMPY_SHIM)
+	PYTHONPATH=src python -m repro run E1,E3 --quick > .ci-fast.log
+	PYTHONPATH=$(NO_NUMPY):src python -m repro run E1,E3 --quick > .ci-serial.log
+	cmp .ci-fast.log .ci-serial.log
+	rm -rf $(NO_NUMPY) .ci-fast.log .ci-serial.log
+
+ci-no-numpy:
+	@$(NUMPY_SHIM)
+	PYTHONPATH=$(NO_NUMPY):src python -m pytest -x -q && \
+		$(MAKE) --no-print-directory ci-smoke SMOKE_PATH=$(NO_NUMPY):src; \
+		status=$$?; rm -rf $(NO_NUMPY); exit $$status
+
+ci-smoke:
+	$(REPRO) list
+	$(REPRO) run E20 --quick --jobs 2 --backend frozen
+	$(REPRO) run E21 --quick --churn-rate 0.1 --churn-bias degree --resnapshot-every 5
+	$(REPRO) serve --sizes 120 --seeds 3 --smoke
+	$(REPRO) serve --sizes 120 --seeds 3 --batch-window 5 --batch-max 8 --smoke
 	rm -rf .ci-store
-	PYTHONPATH=src python -m repro run E17 --quick --set sizes=60,120 --set num_graphs=2 --cache-dir .ci-store --store-backend sqlite | tee .ci-store-cold.log
+	$(STORE_SMOKE) | tee .ci-store-cold.log
 	grep -q "store: 0 hits" .ci-store-cold.log
-	PYTHONPATH=src python -m repro run E17 --quick --set sizes=60,120 --set num_graphs=2 --cache-dir .ci-store --store-backend sqlite | tee .ci-store-warm.log
+	$(STORE_SMOKE) | tee .ci-store-warm.log
 	grep -Eq "store: [1-9][0-9]* hits, 0 misses" .ci-store-warm.log
 	grep -v "^store:" .ci-store-cold.log > .ci-store-cold.trimmed
 	grep -v "^store:" .ci-store-warm.log > .ci-store-warm.trimmed
 	diff .ci-store-cold.trimmed .ci-store-warm.trimmed
-	PYTHONPATH=src python -m repro store stat .ci-store
-	PYTHONPATH=src python -m repro store migrate .ci-store --from sqlite --to json-files
+	$(REPRO) store stat .ci-store
+	$(REPRO) store migrate .ci-store --from sqlite --to json-files
 	rm -rf .ci-store .ci-store-cold.log .ci-store-warm.log .ci-store-cold.trimmed .ci-store-warm.trimmed
-	PYTHONPATH=src python -m repro run E21 --quick --churn-rate 0.1 --churn-bias degree --resnapshot-every 5
-	PYTHONPATH=src python -m repro run E21 --quick --engine ensemble --backend frozen
-	PYTHONPATH=src python -m repro serve --sizes 120 --seeds 3 --smoke
-	PYTHONPATH=src python -m repro serve --sizes 120 --seeds 3 --batch-window 5 --batch-max 8 --smoke
-	@mkdir -p .ci-no-numpy && printf 'raise ImportError("numpy disabled for the no-numpy CI leg")\n' > .ci-no-numpy/numpy.py
-	! PYTHONPATH=.ci-no-numpy:src python -m repro run E17 --quick --set sizes=60 --set num_graphs=1 --generator vectorized 2> .ci-no-numpy/err.log
-	grep -q "requires numpy" .ci-no-numpy/err.log
-	PYTHONPATH=.ci-no-numpy:src python -m repro run E17 --quick --set sizes=60 --set num_graphs=1 --generator serial
-	PYTHONPATH=.ci-no-numpy:src python -m repro serve --sizes 120 --seeds 3 --smoke
-	PYTHONPATH=.ci-no-numpy:src python -m repro serve --sizes 120 --seeds 3 --batch-window 5 --batch-max 8 --smoke
-	PYTHONPATH=.ci-no-numpy:src python -m pytest -x -q; \
-		status=$$?; rm -rf .ci-no-numpy; exit $$status
+	PYTHONPATH=$(SMOKE_PATH) REPRO_STORE_BACKEND=sqlite python -m pytest -x -q tests/test_store_backends.py tests/test_result_store.py tests/test_runner.py tests/test_registry.py
 
 # Bench point: the serving stack under load — the PR 9 per-query
 # path (unbatched dispatch, PR 9 wire behavior) vs the batched

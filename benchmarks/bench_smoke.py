@@ -49,10 +49,16 @@ regenerate with the per-PR flags (table-driven in ``_PR_FLAGS``):
 corpus), ``--pr5`` (declarative registry), ``--pr4``
 (walker-ensemble engine), ``--pr3`` (growth-trajectory checkpoint
 engine) and ``--pr2`` (FrozenGraph cell batching).
+
+The trial layer picks its search engine and graph generator itself
+(:func:`repro.core.trials.resolve_kernels`); the historical
+per-kernel timings pin them with :func:`pinned_kernels` so the serial
+baseline stays measurable.  Those arms run in-process only.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
@@ -98,6 +104,23 @@ PR5_OUTPUT_PATH = os.path.join(_ROOT, "BENCH_PR5.json")
 PR4_OUTPUT_PATH = os.path.join(_ROOT, "BENCH_PR4.json")
 PR3_OUTPUT_PATH = os.path.join(_ROOT, "BENCH_PR3.json")
 PR2_OUTPUT_PATH = os.path.join(_ROOT, "BENCH_PR2.json")
+
+
+@contextlib.contextmanager
+def pinned_kernels(engine: str, generator: str = "serial"):
+    """Run in-process trials on named kernels instead of the resolver's.
+
+    Both kernels are bit-identical to the serial paths, so this only
+    changes wall-clock time — which is what the per-kernel arms time.
+    """
+    from repro.core import trials
+
+    resolve = trials.resolve_kernels
+    trials.resolve_kernels = lambda: trials.Kernels(engine, generator)
+    try:
+        yield
+    finally:
+        trials.resolve_kernels = resolve
 
 
 # ----------------------------------------------------------------------
@@ -155,9 +178,7 @@ def pr9_measure_shm_speedup() -> dict:
         shm_search_trial,
     )
 
-    snapshot = build_graph_snapshot(
-        PR9_FAMILY, PR9_N, PR9_SEED, "frozen", "serial"
-    )
+    snapshot = build_graph_snapshot(PR9_FAMILY, PR9_N, PR9_SEED, "frozen")
     target = PR9_FAMILY.theorem_target(snapshot)
     start = choose_start(
         PR9_FAMILY, snapshot, target, "default", PR9_SEED
@@ -797,7 +818,8 @@ def pr8_time_e21_per_engine() -> list:
     derived = {}
     for engine in ("serial", "ensemble"):
         began = time.perf_counter()
-        result = e21_churn_search(**PR8_E21_OVERRIDES, engine=engine)
+        with pinned_kernels(engine):
+            result = e21_churn_search(**PR8_E21_OVERRIDES)
         elapsed = time.perf_counter() - began
         derived[engine] = result.derived
         records.append(
@@ -1299,9 +1321,8 @@ def pr6_time_e17_per_generator() -> list:
     n = max(PR6_E17_OVERRIDES["sizes"])
     for generator in ("serial", "vectorized"):
         began = time.perf_counter()
-        result = spec.run(
-            PR6_E17_OVERRIDES, backend="frozen", generator=generator
-        )
+        with pinned_kernels("serial", generator):
+            result = spec.run(PR6_E17_OVERRIDES, backend="frozen")
         elapsed = time.perf_counter() - began
         derived_per_generator[generator] = result.derived
         records.append(
@@ -1409,9 +1430,8 @@ def pr5_time_e20_per_engine() -> list:
     n = max(PR5_E20_OVERRIDES["sizes"])
     for engine in ("serial", "ensemble"):
         began = time.perf_counter()
-        result = spec.run(
-            PR5_E20_OVERRIDES, backend="frozen", engine=engine
-        )
+        with pinned_kernels(engine):
+            result = spec.run(PR5_E20_OVERRIDES, backend="frozen")
         elapsed = time.perf_counter() - began
         derived_per_engine[engine] = result.derived
         records.append(
@@ -1498,7 +1518,8 @@ def pr4_time_experiments() -> list:
     for experiment_id, function, kwargs, n in PR4_EXPERIMENTS:
         for engine in ("serial", "ensemble"):
             began = time.perf_counter()
-            function(**kwargs, backend="frozen", engine=engine)
+            with pinned_kernels(engine):
+                function(**kwargs, backend="frozen")
             elapsed = time.perf_counter() - began
             records.append(
                 {

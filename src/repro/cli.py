@@ -9,7 +9,7 @@ Usage::
     repro run E20 --set sizes=200,400 --set num_graphs=2
     repro run E1,E3,E20 --quick
     repro run all --json-dir results/ [--quick]
-    repro run E17 --generator vectorized --corpus-dir corpus/
+    repro run E17 --corpus-dir corpus/
     repro corpus build corpus/ --model mori --sizes 1000,2000
     repro corpus list corpus/
     repro corpus verify corpus/
@@ -26,9 +26,8 @@ the experiment registry (:mod:`repro.core.registry`); every number it
 prints is regenerable from the seed it echoes.
 
 ``repro list`` prints the registry's capability matrix — which of the
-execution axes (``jobs``, ``cache``, ``backend``, ``engine``,
-``mode``, ``generator``) each experiment declares; ``--markdown``
-emits the same
+execution axes (``jobs``, ``cache``, ``backend``, ``mode``,
+``store``) each experiment declares; ``--markdown`` emits the same
 index as a markdown table (the README's experiment index is generated
 from it).  ``repro run`` accepts one id, a comma-separated list, or
 ``all``; ``--set key=value`` overrides any declared experiment
@@ -49,16 +48,14 @@ convert it between backends, and drop entries stale under the current
 code (see :mod:`repro.runner.store`).
 ``--mode trajectory`` serves scaling sweeps from checkpoint snapshots
 of shared growth trajectories (one construction pass per sweep).
-``--engine ensemble`` advances all runs of each walk-family search
-cell together through the lock-step numpy kernel (bit-identical to
-serial; requires numpy).  ``--generator vectorized`` builds each graph
-through the batched kernels in :mod:`repro.graphs.fastgen`, consuming
-the RNG in exactly the serial draw order so snapshots are bit-identical
-to the reference builders (requires numpy; families without a kernel
-build serially).  Whether a flag applies is read off the experiment's
-*declared capabilities*, not guessed from signatures: requesting an
-axis an experiment does not declare emits a warning on stderr instead
-of silently ignoring it.
+Graphs build and search cells run on the fastest kernels the
+interpreter has (:func:`repro.core.trials.resolve_kernels`): the
+vectorized generator and the lock-step ensemble engine when numpy
+imports, the serial reference paths otherwise — bit-identical either
+way, so there is no flag for them.  Whether a flag applies is read off
+the experiment's *declared capabilities*, not guessed from
+signatures: requesting an axis an experiment does not declare emits a
+warning on stderr instead of silently ignoring it.
 
 ``--corpus-dir`` (equivalently the ``REPRO_CORPUS_DIR`` environment
 variable) points runs at a memory-mapped on-disk corpus of generated
@@ -148,9 +145,7 @@ _CAPABILITY_FLAGS = {
     "jobs": "--jobs",
     "cache": "--cache-dir",
     "backend": "--backend",
-    "engine": "--engine",
     "mode": "--mode",
-    "generator": "--generator",
     "store": "--store-backend",
 }
 
@@ -310,32 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument(
-        "--engine",
-        choices=("serial", "ensemble"),
-        default=None,
-        help=(
-            "search-cell execution engine: 'serial' (default) steps "
-            "each run through the oracle one at a time; 'ensemble' "
-            "advances all runs of each walk-family cell together "
-            "through the lock-step numpy kernel (requires numpy); "
-            "numbers are identical either way"
-        ),
-    )
-    run.add_argument(
-        "--generator",
-        choices=("serial", "vectorized"),
-        default=None,
-        help=(
-            "graph construction strategy: 'serial' (default) grows "
-            "each realisation one edge at a time through the "
-            "reference builders; 'vectorized' builds the same "
-            "realisation through the batched numpy kernels, consuming "
-            "the RNG in the serial draw order (requires numpy; "
-            "families without a kernel build serially); numbers are "
-            "identical either way"
-        ),
-    )
-    run.add_argument(
         "--store-backend",
         choices=("json-files", "sqlite"),
         default=None,
@@ -440,15 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=(0,),
         help="comma-separated graph seeds (default 0)",
     )
-    corpus_build.add_argument(
-        "--generator",
-        choices=("serial", "vectorized"),
-        default="serial",
-        help=(
-            "construction strategy for missing entries (stored bytes "
-            "are identical either way)"
-        ),
-    )
     corpus_list = corpus_commands.add_parser(
         "list", help="enumerate the entries of a corpus directory"
     )
@@ -503,12 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--seeds", type=_int_list, default=(0,),
         help="comma-separated graph seeds (default 0)",
-    )
-    serve.add_argument(
-        "--generator",
-        choices=("serial", "vectorized"),
-        default="serial",
-        help="construction strategy for generated graphs",
     )
     serve.add_argument(
         "--portfolio", default="adamic",
@@ -734,7 +688,7 @@ def _warn_ignored(
     """Tell the user a CLI knob has no effect on this experiment.
 
     Silently dropping ``--cache-dir`` (or ``--jobs``/``--backend``/
-    ``--mode``/``--engine``/``--set``) would let users believe results
+    ``--mode``/``--set``) would let users believe results
     were cached or parallelised when the experiment never declared the
     capability (or parameter).
     """
@@ -760,9 +714,7 @@ def _context_kwargs(spec: ExperimentSpec, args) -> Dict[str, Any]:
         "jobs": args.jobs,
         "cache": args.cache_dir,
         "backend": args.backend,
-        "engine": args.engine,
         "mode": args.mode,
-        "generator": args.generator,
         "store": args.store_backend,
     }
     kwargs: Dict[str, Any] = {}
@@ -983,8 +935,9 @@ def _corpus_main(args) -> int:
     corpus = GraphCorpus(args.dir)
 
     if args.corpus_command == "build":
-        from repro.core.trials import family_spec
+        from repro.core.trials import family_spec, resolve_kernels
 
+        generator = resolve_kernels().generator
         family_obj = _corpus_family(args)
         spec = family_spec(family_obj)
         built = 0
@@ -995,12 +948,9 @@ def _corpus_main(args) -> int:
                     present += 1
                     continue
                 snapshot = family_obj.build_frozen(
-                    size, seed=seed, generator=args.generator
+                    size, seed=seed, generator=generator
                 )
-                corpus.put(
-                    spec, size, seed, snapshot,
-                    generator=args.generator,
-                )
+                corpus.put(spec, size, seed, snapshot, generator=generator)
                 built += 1
         print(
             f"corpus build: {built} built, {present} already "
@@ -1059,10 +1009,7 @@ def _serve_entries(args):
                 "entries"
             )
         return entries
-    return build_grid_entries(
-        _corpus_family(args), args.sizes, args.seeds,
-        generator=args.generator,
-    )
+    return build_grid_entries(_corpus_family(args), args.sizes, args.seeds)
 
 
 def _serve_smoke(service, args) -> int:
@@ -1234,47 +1181,60 @@ def _serve_main(args) -> int:
         cache_store=cache_store,
         stats_interval=args.stats_interval,
     )
-    try:
-        service.start()
-    except OSError as error:
-        # Double-start on a bound port lands here (EADDRINUSE); the
-        # failed start already unlinked everything it published.
-        print(
-            f"error: cannot bind {args.host}:{args.port}: {error}",
-            file=sys.stderr,
-        )
-        return 1
-    try:
-        if args.port_file:
-            with open(args.port_file, "w", encoding="utf-8") as handle:
-                handle.write(f"{service.port}\n")
-        if args.smoke:
-            return _serve_smoke(service, args)
-        coalescing = (
-            f"batch {service.batch_window * 1000:.0f}ms/"
-            f"{service.batch_max} [{service.engine}]"
-            if service.batch_window > 0
-            else "per-query dispatch"
-        )
-        print(
-            f"serving {len(service.entries)} graphs "
-            f"({args.portfolio} portfolio, {args.workers} workers, "
-            f"{coalescing}, cache {service.cache.capacity}) "
-            f"at {service.address}",
-            flush=True,
-        )
-        stop_event = threading.Event()
+    # Handlers go in before start(): once /healthz answers, a SIGTERM
+    # must reach the teardown below, never the default action, which
+    # would orphan the pool workers and leak the shared segments.  A
+    # signal during start() just makes the wait below return at once.
+    # The previous handlers come back on exit, for in-process callers.
+    stop_event = threading.Event()
 
-        def _handle_signal(signum, frame):
-            stop_event.set()
+    def _handle_signal(signum, frame):
+        stop_event.set()
 
-        signal.signal(signal.SIGTERM, _handle_signal)
-        signal.signal(signal.SIGINT, _handle_signal)
-        stop_event.wait()
-        print("shutting down", flush=True)
-        return 0
+    previous = {
+        signum: signal.signal(signum, _handle_signal)
+        for signum in (signal.SIGTERM, signal.SIGINT)
+    }
+    try:
+        try:
+            service.start()
+        except OSError as error:
+            # Double-start on a bound port lands here (EADDRINUSE); the
+            # failed start already unlinked everything it published.
+            print(
+                f"error: cannot bind {args.host}:{args.port}: {error}",
+                file=sys.stderr,
+            )
+            return 1
+        try:
+            if args.port_file:
+                with open(
+                    args.port_file, "w", encoding="utf-8"
+                ) as handle:
+                    handle.write(f"{service.port}\n")
+            if args.smoke:
+                return _serve_smoke(service, args)
+            coalescing = (
+                f"batch {service.batch_window * 1000:.0f}ms/"
+                f"{service.batch_max} [{service.engine}]"
+                if service.batch_window > 0
+                else "per-query dispatch"
+            )
+            print(
+                f"serving {len(service.entries)} graphs "
+                f"({args.portfolio} portfolio, {args.workers} workers, "
+                f"{coalescing}, cache {service.cache.capacity}) "
+                f"at {service.address}",
+                flush=True,
+            )
+            stop_event.wait()
+            print("shutting down", flush=True)
+            return 0
+        finally:
+            service.stop()
     finally:
-        service.stop()
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -11,14 +11,17 @@ Experiments are *registered specs* (:mod:`repro.core.registry`): each
 body declares its typed parameter schema and the execution
 capabilities it supports — ``jobs`` (worker fan-out), ``cache``
 (persistent trial store), ``backend`` (frozen CSR vs mutable
-multigraph), ``engine`` (serial vs lock-step ensemble search cells),
-``mode`` (independent vs trajectory-coupled scaling sweeps) — and
-receives one :class:`~repro.core.registry.ExecutionContext` instead of
-five copy-pasted kwargs.  The public ``e1_mori_weak(...)``-style
-wrappers below are thin registry delegates with the historical
-signatures, so every pin in ``tests/test_experiment_regression.py``
-(and every downstream caller) keeps working bit-identically;
-``tests/test_registry.py`` asserts wrapper/spec parity.
+multigraph), ``mode`` (independent vs trajectory-coupled scaling
+sweeps), ``store`` (trial-store layout) — and receives one
+:class:`~repro.core.registry.ExecutionContext` instead of five
+copy-pasted kwargs.  The search engine and graph generator are not
+axes: the trial layer picks the fastest bit-identical kernels
+(:func:`repro.core.trials.resolve_kernels`).  The public
+``e1_mori_weak(...)``-style wrappers below are thin registry delegates
+with the historical signatures, so every pin in
+``tests/test_experiment_regression.py`` (and every downstream caller)
+keeps working bit-identically; ``tests/test_registry.py`` asserts
+wrapper/spec parity.
 
 Every experiment takes an explicit ``seed`` so a published number can
 be regenerated bit-for-bit.  The Monte-Carlo-heavy experiments
@@ -186,8 +189,7 @@ def _exponent_table(measurement, algorithms: Sequence[str]) -> Table:
 @REGISTRY.register(
     "E1",
     title="Weak-model search cost on merged Mori graphs (Theorem 1)",
-    capabilities=("jobs", "cache", "backend", "engine", "generator",
-                  "store"),
+    capabilities=("jobs", "cache", "backend", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("p", FLOAT, 0.5),
@@ -257,8 +259,6 @@ def e1_mori_weak(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E1: every weak-model algorithm respects the Ω(√n) floor on Móri graphs.
@@ -278,8 +278,6 @@ def e1_mori_weak(
         jobs=jobs,
         cache_dir=cache_dir,
         backend=backend,
-        engine=engine,
-        generator=generator,
         store_backend=store_backend,
     )
 
@@ -292,8 +290,7 @@ def e1_mori_weak(
 @REGISTRY.register(
     "E2",
     title="Strong-model search cost on Mori graphs (Theorem 1, p<1/2)",
-    capabilities=("jobs", "cache", "backend", "engine", "generator",
-                  "store"),
+    capabilities=("jobs", "cache", "backend", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("p", FLOAT, 0.25),
@@ -366,8 +363,6 @@ def e2_mori_strong(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E2: strong-model algorithms respect Ω(n^{1/2-p-eps}) for p < 1/2."""
@@ -383,8 +378,6 @@ def e2_mori_strong(
         jobs=jobs,
         cache_dir=cache_dir,
         backend=backend,
-        engine=engine,
-        generator=generator,
         store_backend=store_backend,
     )
 
@@ -397,8 +390,7 @@ def e2_mori_strong(
 @REGISTRY.register(
     "E3",
     title="Weak-model search cost on Cooper-Frieze graphs (Theorem 2)",
-    capabilities=("jobs", "cache", "backend", "engine", "generator",
-                  "store"),
+    capabilities=("jobs", "cache", "backend", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("alpha", FLOAT, 0.75),
@@ -463,8 +455,6 @@ def e3_cooper_frieze(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E3: the Ω(√n) floor holds in the Cooper–Frieze model (Theorem 2)."""
@@ -478,8 +468,6 @@ def e3_cooper_frieze(
         jobs=jobs,
         cache_dir=cache_dir,
         backend=backend,
-        engine=engine,
-        generator=generator,
         store_backend=store_backend,
     )
 
@@ -762,7 +750,7 @@ def e6_degree_distribution(
 @REGISTRY.register(
     "E7",
     title="Adamic et al. search on power-law configuration graphs",
-    capabilities=("jobs", "cache", "backend", "engine", "store"),
+    capabilities=("jobs", "cache", "backend", "store"),
     params=(
         Param("sizes", INT_TUPLE, (400, 800, 1600, 3200)),
         Param("exponent", FLOAT, 2.5),
@@ -861,7 +849,6 @@ def e7_adamic(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    engine: str = "serial",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E7: high-degree search beats the random walk on power-law graphs.
@@ -885,7 +872,6 @@ def e7_adamic(
         jobs=jobs,
         cache_dir=cache_dir,
         backend=backend,
-        engine=engine,
         store_backend=store_backend,
     )
 
@@ -898,7 +884,7 @@ def e7_adamic(
 @REGISTRY.register(
     "E8",
     title="Greedy routing on Kleinberg small-worlds (navigable contrast)",
-    # Audited for the backend/engine axes and excluded on purpose:
+    # Audited for the backend axis and excluded on purpose:
     # greedy routing navigates by lattice *coordinates* on the
     # KleinbergGrid wrapper (not through the oracle machinery), so
     # neither a CSR snapshot nor the ensemble kernel has anything to
@@ -974,8 +960,7 @@ def e8_kleinberg(
 @REGISTRY.register(
     "E9",
     title="Diameter vs search cost on merged Mori graphs",
-    capabilities=("jobs", "cache", "backend", "engine", "generator",
-                  "store"),
+    capabilities=("jobs", "cache", "backend", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("p", FLOAT, 0.5),
@@ -1060,14 +1045,12 @@ def e9_diameter_vs_search(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E9: O(log n) diameter yet polynomial search cost (the headline).
 
-    The search cells honour ``backend``/``engine``/``generator`` like
-    every other search-running experiment; the diameter estimate walks
+    The search cells honour ``backend`` like every other
+    search-running experiment; the diameter estimate walks
     the freshly built graph directly (it is BFS-bound either way).
     """
     return run_experiment(
@@ -1080,8 +1063,6 @@ def e9_diameter_vs_search(
         jobs=jobs,
         cache_dir=cache_dir,
         backend=backend,
-        engine=engine,
-        generator=generator,
         store_backend=store_backend,
     )
 
@@ -1155,8 +1136,7 @@ def e10_equivalence_exact(
 @REGISTRY.register(
     "E11",
     title="Lemma 1 floor vs measured costs; tightness via omniscient",
-    capabilities=("jobs", "cache", "backend", "engine", "generator",
-                  "store"),
+    capabilities=("jobs", "cache", "backend", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("p", FLOAT, 0.5),
@@ -1225,8 +1205,6 @@ def e11_lemma1_floor(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E11: measured costs sit above the Lemma-1 floor; omniscient ~ Θ(√n)."""
@@ -1240,8 +1218,6 @@ def e11_lemma1_floor(
         jobs=jobs,
         cache_dir=cache_dir,
         backend=backend,
-        engine=engine,
-        generator=generator,
         store_backend=store_backend,
     )
 
@@ -1256,9 +1232,7 @@ def e11_lemma1_floor(
     title="Percolation search with content replication",
     # Audited: the query cascade reads the graph through the same
     # neighbor/edge API the searches use, so the backend axis applies
-    # (one snapshot serves every query); the engine axis does not —
-    # percolation is an epidemic broadcast, not an (algorithm, start,
-    # target) oracle cell.
+    # (one snapshot serves every query).
     capabilities=("backend",),
     params=(
         Param("n", INT, 4000),
@@ -1379,8 +1353,7 @@ def e12_percolation(
 @REGISTRY.register(
     "E13",
     title="Ablation: attachment mixture p vs searchability",
-    capabilities=("jobs", "cache", "backend", "engine", "generator",
-                  "store"),
+    capabilities=("jobs", "cache", "backend", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800)),
         Param("p_values", FLOAT_TUPLE, (0.0, 0.25, 0.5, 0.75, 1.0)),
@@ -1440,8 +1413,6 @@ def e13_ablation_p(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E13: the √n floor is insensitive to the attachment mixture p."""
@@ -1454,8 +1425,6 @@ def e13_ablation_p(
         jobs=jobs,
         cache_dir=cache_dir,
         backend=backend,
-        engine=engine,
-        generator=generator,
         store_backend=store_backend,
     )
 
@@ -1463,8 +1432,7 @@ def e13_ablation_p(
 @REGISTRY.register(
     "E14",
     title="Ablation: merge arity m vs searchability",
-    capabilities=("jobs", "cache", "backend", "engine", "generator",
-                  "store"),
+    capabilities=("jobs", "cache", "backend", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800)),
         Param("m_values", INT_TUPLE, (1, 2, 4, 8)),
@@ -1523,8 +1491,6 @@ def e14_ablation_m(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E14: the √n floor holds for every merge arity m (Theorem 1)."""
@@ -1538,8 +1504,6 @@ def e14_ablation_m(
         jobs=jobs,
         cache_dir=cache_dir,
         backend=backend,
-        engine=engine,
-        generator=generator,
         store_backend=store_backend,
     )
 
@@ -1746,8 +1710,7 @@ def e16_neighbor_dependence(
 @REGISTRY.register(
     "E17",
     title="Strong-to-weak simulation slowdown (Theorem 1, strong case)",
-    capabilities=("jobs", "cache", "backend", "mode", "generator",
-                  "store"),
+    capabilities=("jobs", "cache", "backend", "mode", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("p", FLOAT, 0.25),
@@ -1863,7 +1826,6 @@ def e17_simulation_slowdown(
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
     mode: str = "independent",
-    generator: str = "serial",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E17: weak simulation of a strong algorithm pays <= max-degree slowdown.
@@ -1900,7 +1862,6 @@ def e17_simulation_slowdown(
         cache_dir=cache_dir,
         backend=backend,
         mode=mode,
-        generator=generator,
         store_backend=store_backend,
     )
 
@@ -1913,8 +1874,7 @@ def e17_simulation_slowdown(
 @REGISTRY.register(
     "E18",
     title="Ablation: start-vertex rule vs searchability",
-    capabilities=("jobs", "cache", "backend", "engine", "mode",
-                  "generator", "store"),
+    capabilities=("jobs", "cache", "backend", "mode", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("p", FLOAT, 0.5),
@@ -1981,9 +1941,7 @@ def e18_start_rule(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    engine: str = "serial",
     mode: str = "independent",
-    generator: str = "serial",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E18: the Ω(√n) floor is start-vertex independent.
@@ -2009,9 +1967,7 @@ def e18_start_rule(
         jobs=jobs,
         cache_dir=cache_dir,
         backend=backend,
-        engine=engine,
         mode=mode,
-        generator=generator,
         store_backend=store_backend,
     )
 
@@ -2028,9 +1984,7 @@ def e18_start_rule(
         "jobs",
         "cache",
         "backend",
-        "engine",
         ("mode", "trajectory"),
-        "generator",
         "store",
     ),
     params=(
@@ -2148,9 +2102,7 @@ def e19_trajectory_scaling(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    engine: str = "serial",
     mode: str = "trajectory",
-    generator: str = "serial",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E19: request cost vs n measured *along* single evolving networks.
@@ -2185,9 +2137,7 @@ def e19_trajectory_scaling(
         jobs=jobs,
         cache_dir=cache_dir,
         backend=backend,
-        engine=engine,
         mode=mode,
-        generator=generator,
         store_backend=store_backend,
     )
 
@@ -2200,8 +2150,7 @@ def e19_trajectory_scaling(
 @REGISTRY.register(
     "E20",
     title="Cross-model search-cost grid (weak + strong portfolios)",
-    capabilities=("jobs", "cache", "backend", "engine", "generator",
-                  "store"),
+    capabilities=("jobs", "cache", "backend", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800)),
         Param("p", FLOAT, 0.5),
@@ -2325,8 +2274,6 @@ def e20_cross_model(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E20: one harness, three models, both knowledge models.
@@ -2336,7 +2283,7 @@ def e20_cross_model(
     giant component at matched size and degree scale — swept by both
     the weak and the strong portfolio on one pipeline.  The experiment
     is a *pure spec*: it exercises ``jobs``/``cache``/``backend``/
-    ``engine`` through nothing but its capability declaration, with no
+    ``store`` through nothing but its capability declaration, with no
     experiment-specific CLI code.
 
     Headline shape: the cheapest fitted exponent stays bounded away
@@ -2357,8 +2304,6 @@ def e20_cross_model(
         jobs=jobs,
         cache_dir=cache_dir,
         backend=backend,
-        engine=engine,
-        generator=generator,
         store_backend=store_backend,
     )
 
@@ -2371,8 +2316,7 @@ def e20_cross_model(
 @REGISTRY.register(
     "E21",
     title="Search cost vs churn rate (weak + strong portfolios)",
-    capabilities=("jobs", "cache", "backend", "engine", "generator",
-                  "store"),
+    capabilities=("jobs", "cache", "backend", "store"),
     params=(
         Param("size", INT, 400),
         Param("p", FLOAT, 0.5),
@@ -2510,8 +2454,6 @@ def e21_churn_search(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E21: does non-searchability survive live churn?
@@ -2523,7 +2465,7 @@ def e21_churn_search(
     (the CLI's ``--churn-rate/--churn-bias/--resnapshot-every`` sugar
     maps onto them generically), and every cell is one
     :func:`~repro.core.trials.churn_search_trial` replayable from the
-    store across ``--jobs`` and engines.
+    store across ``--jobs`` and kernels.
 
     Headline: ``churn_penalty/<portfolio>`` — the cost ratio between
     the stormiest and calmest rate.  The paper's Ω(√n) floor is about
@@ -2545,8 +2487,6 @@ def e21_churn_search(
         jobs=jobs,
         cache_dir=cache_dir,
         backend=backend,
-        engine=engine,
-        generator=generator,
         store_backend=store_backend,
     )
 
@@ -2559,7 +2499,7 @@ def e21_churn_search(
 @REGISTRY.register(
     "E22",
     title="Giant-component survival under decay",
-    capabilities=("jobs", "cache", "backend", "generator", "store"),
+    capabilities=("jobs", "cache", "backend", "store"),
     params=(
         Param("size", INT, 600),
         Param("p", FLOAT, 0.5),
@@ -2604,7 +2544,6 @@ def _e22_body(
     )
     reference = trial_ref(churn_survival_trial)
     extra = ctx.trial_params_extra()
-    extra.pop("engine", None)  # no searches run; engine is not declared
     specs = []
     for bias_index, bias in enumerate(CHURN_BIASES):
         cell_seed = substream(seed, bias_index)
@@ -2679,7 +2618,6 @@ def e22_giant_survival(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     backend: str = "frozen",
-    generator: str = "serial",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E22: how fast does the searchable substrate itself dissolve?
@@ -2702,7 +2640,6 @@ def e22_giant_survival(
         jobs=jobs,
         cache_dir=cache_dir,
         backend=backend,
-        generator=generator,
         store_backend=store_backend,
     )
 

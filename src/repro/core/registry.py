@@ -2,7 +2,7 @@
 
 Before this module, every experiment function re-declared and
 re-plumbed the same execution axes by hand — ``jobs``, ``cache_dir``,
-``backend``, ``engine``, ``mode`` — and the CLI re-discovered them per
+``backend``, ``mode`` — and the CLI re-discovered them per
 function with ``inspect.signature`` plus bespoke warning branches.
 Adding an axis meant signature surgery on a dozen functions; adding an
 experiment meant copying the whole kwargs trellis.
@@ -15,9 +15,8 @@ The registry replaces that with three declarative pieces:
   overrides for free.
 * :class:`ExperimentSpec` — one experiment: id, title, its param
   schema, and the **capabilities** it declares from
-  :data:`CAPABILITIES` (``jobs``, ``cache``, ``backend``, ``engine``,
-  ``mode``, ``generator``, ``store``).  Capabilities are data, not
-  signatures:
+  :data:`CAPABILITIES` (``jobs``, ``cache``, ``backend``, ``mode``,
+  ``store``).  Capabilities are data, not signatures:
   the CLI derives
   its capability matrix and its "flag has no effect" warnings from
   them, and a new axis lands in exactly one place.
@@ -81,8 +80,7 @@ __all__ = [
 
 #: The execution axes an experiment may declare, in canonical order
 #: (also the order their keyword parameters appear in public wrappers).
-CAPABILITIES = ("jobs", "cache", "backend", "engine", "mode",
-                "generator", "store")
+CAPABILITIES = ("jobs", "cache", "backend", "mode", "store")
 
 #: Capability -> (public keyword parameter, default value).  ``cache``
 #: surfaces as ``cache_dir`` because the public unit is a directory;
@@ -90,14 +88,14 @@ CAPABILITIES = ("jobs", "cache", "backend", "engine", "mode",
 #: ``store`` surfaces as ``store_backend``; its ``None`` default means
 #: "auto" (the ``REPRO_STORE_BACKEND`` environment variable, else
 #: ``json-files``) so a whole run — or a whole CI leg — can be
-#: switched without threading the choice through every call.
+#: switched without threading the choice through every call.  The
+#: search engine and graph generator are not axes: the trial layer
+#: picks them (:func:`repro.core.trials.resolve_kernels`).
 CAPABILITY_PARAMS = {
     "jobs": ("jobs", 1),
     "cache": ("cache_dir", None),
     "backend": ("backend", "frozen"),
-    "engine": ("engine", "serial"),
     "mode": ("mode", "independent"),
-    "generator": ("generator", "serial"),
     "store": ("store_backend", None),
 }
 
@@ -162,8 +160,8 @@ class Param:
 class ExecutionContext:
     """The resolved execution axes of one experiment run.
 
-    Carries ``jobs``/``store``/``backend``/``engine``/``mode`` (and the
-    owning ``experiment_id``) exactly once, resolved from the declared
+    Carries ``jobs``/``store``/``backend``/``mode`` (and the owning
+    ``experiment_id``) exactly once, resolved from the declared
     capability defaults plus any caller overrides.  Experiment bodies
     dispatch through the helper methods instead of re-plumbing the
     axes into every call, so an axis added here reaches every
@@ -174,9 +172,7 @@ class ExecutionContext:
     jobs: int = 1
     store: Optional[TrialStore] = None
     backend: str = "frozen"
-    engine: str = "serial"
     mode: str = "independent"
-    generator: str = "serial"
     store_backend: Optional[str] = None
 
     def run_trials(self, specs: Sequence[TrialSpec]) -> list:
@@ -185,28 +181,24 @@ class ExecutionContext:
         return run_trials(specs, jobs=self.jobs, store=self.store)
 
     def trial_params_extra(self) -> Dict[str, Any]:
-        """The non-default backend/engine/generator trial-param entries.
+        """The non-default backend trial-param entry.
 
-        The backend/engine/generator cache-key policy (defaults stay
-        out of trial params so pre-existing cache entries keep
-        replaying; only a forced non-default choice gets its own
-        entries) spelled once.  ``store_backend`` never enters: where
-        a value is stored cannot change what the value is.
+        The backend cache-key policy (the default stays out of trial
+        params so pre-existing cache entries keep replaying; only a
+        forced non-default choice gets its own entries) spelled once.
+        ``store_backend`` never enters: where a value is stored cannot
+        change what the value is.
         """
         extra: Dict[str, Any] = {}
         if self.backend != "frozen":
             extra["backend"] = self.backend
-        if self.engine != "serial":
-            extra["engine"] = self.engine
-        if self.generator != "serial":
-            extra["generator"] = self.generator
         return extra
 
     def measure_scaling(self, family, sizes, factories, **kwargs):
         """A size sweep through this context's execution axes.
 
         Delegates to :func:`repro.core.searchability.measure_scaling`
-        with ``jobs``/``store``/``backend``/``engine``/``mode`` and the
+        with ``jobs``/``store``/``backend``/``mode`` and the
         experiment id filled in from the context (callers may still
         override ``mode`` explicitly, as E19 does to pin its subject).
         """
@@ -221,8 +213,6 @@ class ExecutionContext:
             store=self.store,
             experiment_id=self.experiment_id,
             backend=self.backend,
-            engine=self.engine,
-            generator=self.generator,
             **kwargs,
         )
 
@@ -238,8 +228,6 @@ class ExecutionContext:
             store=self.store,
             experiment_id=self.experiment_id,
             backend=self.backend,
-            engine=self.engine,
-            generator=self.generator,
             **kwargs,
         )
 
@@ -273,28 +261,16 @@ def _validated_context_values(
 
 
 def _validate_axis_values(resolved: Dict[str, Any]) -> None:
-    """Check backend/engine/mode/generator values against their axis
+    """Check backend/mode/store/jobs values against their axis
     vocabularies."""
     from repro.core.searchability import MODES
-    from repro.core.trials import BACKENDS, ENGINES, GENERATORS
+    from repro.core.trials import BACKENDS
 
     backend = resolved.get("backend")
     if backend is not None and backend not in BACKENDS:
         raise ExperimentError(
             f"unknown graph backend {backend!r}; valid: "
             f"{', '.join(BACKENDS)}"
-        )
-    engine = resolved.get("engine")
-    if engine is not None and engine not in ENGINES:
-        raise ExperimentError(
-            f"unknown search engine {engine!r}; valid: "
-            f"{', '.join(ENGINES)}"
-        )
-    generator = resolved.get("generator")
-    if generator is not None and generator not in GENERATORS:
-        raise ExperimentError(
-            f"unknown graph generator {generator!r}; valid: "
-            f"{', '.join(GENERATORS)}"
         )
     mode = resolved.get("mode")
     if mode is not None and mode not in MODES:
@@ -356,9 +332,7 @@ class ExperimentSpec:
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
         backend: Optional[str] = None,
-        engine: Optional[str] = None,
         mode: Optional[str] = None,
-        generator: Optional[str] = None,
         store_backend: Optional[str] = None,
     ) -> ExecutionContext:
         """Resolve execution-axis overrides into an :class:`ExecutionContext`.
@@ -374,9 +348,7 @@ class ExperimentSpec:
                 "jobs": jobs,
                 "cache": cache_dir,
                 "backend": backend,
-                "engine": engine,
                 "mode": mode,
-                "generator": generator,
                 "store": store_backend,
             },
         )
@@ -388,7 +360,7 @@ class ExperimentSpec:
             kwargs["store"] = store_for(
                 resolved["cache"], resolved.get("store")
             )
-        for axis in ("backend", "engine", "mode", "generator"):
+        for axis in ("backend", "mode"):
             if axis in resolved:
                 kwargs[axis] = resolved[axis]
         if "store" in resolved:
@@ -412,9 +384,7 @@ class ExperimentSpec:
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
         backend: Optional[str] = None,
-        engine: Optional[str] = None,
         mode: Optional[str] = None,
-        generator: Optional[str] = None,
         store_backend: Optional[str] = None,
     ):
         """Execute the experiment body with resolved params + context."""
@@ -423,9 +393,7 @@ class ExperimentSpec:
             jobs=jobs,
             cache_dir=cache_dir,
             backend=backend,
-            engine=engine,
             mode=mode,
-            generator=generator,
             store_backend=store_backend,
         )
         return self.body(context, **params)
@@ -588,9 +556,8 @@ def run_experiment(experiment_id: str, **kwargs):
     The convenience entry the public ``e<n>_...`` wrappers delegate
     through: ``kwargs`` may mix declared experiment parameters with
     the capability parameters the spec declares (``jobs``,
-    ``cache_dir``, ``backend``, ``engine``, ``mode``,
-    ``store_backend``); they are split per the spec and dispatched via
-    :meth:`ExperimentSpec.run`.
+    ``cache_dir``, ``backend``, ``mode``, ``store_backend``); they are
+    split per the spec and dispatched via :meth:`ExperimentSpec.run`.
     """
     spec = REGISTRY.get(experiment_id)
     context_kwargs: Dict[str, Any] = {}

@@ -137,8 +137,6 @@ def _build_cell_specs(
     neighbor_success: bool,
     start_rule: str,
     backend: str,
-    engine: str = "serial",
-    generator: str = "serial",
 ) -> List[TrialSpec]:
     """One :class:`TrialSpec` per graph realisation of a (size, seed) cell."""
     from repro.core.trials import family_spec, search_cost_graph_trial
@@ -153,16 +151,12 @@ def _build_cell_specs(
         "neighbor_success": neighbor_success,
         "start_rule": start_rule,
     }
-    # Neither backend, engine nor generator ever changes a trial's
-    # value (the equivalence batteries pin this), so the defaults stay
-    # out of the params — keeping cache keys identical to earlier runs;
-    # only a forced non-default choice gets its own cache entries.
+    # The backend never changes a trial's value (the equivalence
+    # batteries pin this), so the default stays out of the params —
+    # keeping cache keys identical to earlier runs; only a forced
+    # non-default choice gets its own cache entries.
     if backend != "frozen":
         params["backend"] = backend
-    if engine != "serial":
-        params["engine"] = engine
-    if generator != "serial":
-        params["generator"] = generator
     return [
         TrialSpec(
             experiment_id=experiment_id,
@@ -184,14 +178,13 @@ def _portfolio_grid_in_process(
     budget: Optional[int],
     neighbor_success: bool,
     graph_seed: int,
-    engine: str,
 ):
     """One graph's whole portfolio grid through the shared executor.
 
     The in-process factory paths (independent and trajectory) both
     delegate here, which delegates to the trial layer's
     ``_execute_cells`` — one derivation of run seeds, one engine
-    dispatch — so closures get the ensemble kernel too, and the
+    choice — so closures get the ensemble kernel too, and the
     factory and named-portfolio paths cannot drift apart.  Yields
     ``(algorithm_name, SearchResult)`` in the serial loop's order.
     """
@@ -211,7 +204,6 @@ def _portfolio_grid_in_process(
         budget=budget,
         neighbor_success=neighbor_success,
         seed=graph_seed,
-        engine=engine,
     )
     for cell, value in zip(cells, cell_results):
         yield cell["algorithm"], result_from_dict(value)
@@ -250,8 +242,6 @@ def measure_search_cost(
     store: Optional[ResultStore] = None,
     experiment_id: str = "adhoc",
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
 ) -> CostMeasurement:
     """Estimate expected request counts on ``family`` at ``size``.
 
@@ -279,16 +269,11 @@ def measure_search_cost(
     ``backend`` picks the graph form the searches run on: ``"frozen"``
     (default) snapshots each realisation into a read-optimised
     :class:`~repro.graphs.frozen.FrozenGraph` once built,
-    ``"multigraph"`` searches the mutable object directly.  ``engine``
-    picks the cell execution strategy: ``"serial"`` (default) steps
-    runs one at a time, ``"ensemble"`` advances all runs of each
-    walk-family cell through the lock-step numpy kernel (see
-    :data:`repro.core.trials.ENGINES`; requires numpy).  ``generator``
-    picks the graph construction strategy: ``"serial"`` (default) uses
-    the reference builders, ``"vectorized"`` the batched fastgen
-    kernels (see :data:`repro.core.trials.GENERATORS`; requires
-    numpy).  Like ``jobs``/``store`` none of them changes a number,
-    only wall-clock time.
+    ``"multigraph"`` searches the mutable object directly.  Graphs
+    build and cells run on the kernels
+    :func:`repro.core.trials.resolve_kernels` picks.  Like
+    ``jobs``/``store`` none of this changes a number, only wall-clock
+    time.
     """
     if num_graphs < 1 or runs_per_graph < 1:
         raise ExperimentError(
@@ -313,8 +298,6 @@ def measure_search_cost(
             neighbor_success,
             start_rule,
             backend,
-            engine,
-            generator,
         )
         outcomes = run_trials(specs, jobs=jobs, store=store)
         return _fold_cell(
@@ -337,9 +320,7 @@ def measure_search_cost(
 
     for graph_index in range(num_graphs):
         graph_seed = substream(seed, graph_index)
-        graph = build_graph_snapshot(
-            family, size, graph_seed, backend, generator
-        )
+        graph = build_graph_snapshot(family, size, graph_seed, backend)
         target = family.theorem_target(graph)
         start = _choose_start(
             family, graph, target, start_rule, graph_seed
@@ -353,7 +334,6 @@ def measure_search_cost(
             budget=budget,
             neighbor_success=neighbor_success,
             graph_seed=graph_seed,
-            engine=engine,
         ):
             collected[name].append(result)
 
@@ -451,8 +431,6 @@ def measure_scaling(
     experiment_id: str = "adhoc",
     backend: str = "frozen",
     mode: str = "independent",
-    engine: str = "serial",
-    generator: str = "serial",
 ) -> ScalingMeasurement:
     """Run :func:`measure_search_cost` across a size grid.
 
@@ -478,10 +456,6 @@ def measure_scaling(
       which is also what makes the mode a pure wall-clock win.
       Requires a prefix-stable family (the evolving models; the
       configuration model is rejected).
-
-    ``engine`` selects the per-cell execution strategy exactly as in
-    :func:`measure_search_cost` (``"ensemble"`` batches each walk-family
-    cell through the numpy kernel; numbers are engine-independent).
     """
     ordered = sorted(set(sizes))
     if len(ordered) < 2:
@@ -520,8 +494,6 @@ def measure_scaling(
             store,
             experiment_id,
             backend,
-            engine,
-            generator,
         )
 
     if isinstance(factories, str):
@@ -540,8 +512,6 @@ def measure_scaling(
                 neighbor_success,
                 start_rule,
                 backend,
-                engine,
-                generator,
             )
             offsets.append((size, len(grid_specs), len(cell_specs)))
             grid_specs.extend(cell_specs)
@@ -568,8 +538,6 @@ def measure_scaling(
             store=store,
             experiment_id=experiment_id,
             backend=backend,
-            engine=engine,
-            generator=generator,
         )
     return measurement
 
@@ -588,8 +556,6 @@ def _measure_scaling_trajectory(
     store: Optional[ResultStore],
     experiment_id: str,
     backend: str,
-    engine: str = "serial",
-    generator: str = "serial",
 ) -> ScalingMeasurement:
     """The ``mode='trajectory'`` body of :func:`measure_scaling`.
 
@@ -618,15 +584,10 @@ def _measure_scaling_trajectory(
             "neighbor_success": neighbor_success,
             "start_rule": start_rule,
         }
-        # Same cache-key policy as the independent cells: only forced
-        # non-default choices enter the params (values are backend-,
-        # engine- and generator-independent).
+        # Same cache-key policy as the independent cells: only a
+        # forced non-default backend enters the params.
         if backend != "frozen":
             params["backend"] = backend
-        if engine != "serial":
-            params["engine"] = engine
-        if generator != "serial":
-            params["generator"] = generator
         specs = trajectory_specs(
             experiment_id,
             trial_ref(trajectory_scaling_trial),
@@ -649,14 +610,15 @@ def _measure_scaling_trajectory(
             "portfolio name from repro.core.trials.PORTFOLIOS"
         )
 
-    from repro.core.trials import trajectory_snapshots
+    from repro.core.trials import resolve_kernels, trajectory_snapshots
 
     collected: Dict[int, Dict[str, List[SearchResult]]] = {
         size: {name: [] for name in factories} for size in ordered
     }
     for graph_seed in graph_seeds:
         full_graph, marks = family.build_trajectory(
-            ordered, seed=graph_seed, generator=generator
+            ordered, seed=graph_seed,
+            generator=resolve_kernels().generator,
         )
         for size, graph in trajectory_snapshots(
             full_graph, marks, ordered, backend
@@ -674,7 +636,6 @@ def _measure_scaling_trajectory(
                 budget=None,
                 neighbor_success=neighbor_success,
                 graph_seed=graph_seed,
-                engine=engine,
             ):
                 collected[size][name].append(result)
     for size in ordered:

@@ -29,11 +29,17 @@ extend the bargain along the *size* axis: one evolved realisation is
 checkpoint-snapshotted at every grid size (see
 :func:`trajectory_snapshots`), and each checkpoint's cells are
 bit-identical to the corresponding independent same-seed trial.
+
+Graphs build and cells run on the kernels :func:`resolve_kernels`
+picks: the vectorized generator and the ensemble engine when numpy
+imports, the serial reference paths otherwise.  Neither is a trial
+parameter — the kernels are bit-identical, so they never enter a
+cache key.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional
 
 from repro.analysis.degrees import max_degree
 from repro.analysis.powerlaw_fit import fit_power_law
@@ -49,7 +55,7 @@ from repro.graphs.base import MultiGraph
 from repro.graphs.churn import CHURN_BIASES, ChurnProcess
 from repro.graphs.components import connected_components
 from repro.graphs.delta import DeltaGraph
-from repro.graphs.frozen import GraphBackend, freeze
+from repro.graphs.frozen import HAVE_NUMPY, GraphBackend, freeze
 from repro.graphs.cooper_frieze import CooperFriezeParams
 from repro.graphs.kleinberg import kleinberg_grid
 from repro.rng import make_rng, run_substream, substream
@@ -78,6 +84,8 @@ __all__ = [
     "choose_start",
     "snapshot_graph",
     "build_graph_snapshot",
+    "Kernels",
+    "resolve_kernels",
     "trajectory_snapshots",
     "search_cost_graph_trial",
     "batched_search_trial",
@@ -94,26 +102,48 @@ __all__ = [
 #: Valid values of the ``backend`` trial parameter.
 BACKENDS = ("frozen", "multigraph")
 
-#: Valid values of the ``engine`` trial parameter.  ``"serial"`` (the
-#: default) steps every search cell through the oracle machinery one
-#: run at a time; ``"ensemble"`` advances all runs of each walk-family
-#: (algorithm, start, target) cell together through the numpy kernel in
+#: Search-cell execution engines.  ``"serial"`` steps every search
+#: cell through the oracle machinery one run at a time; ``"ensemble"``
+#: advances all runs of each walk-family (algorithm, start, target)
+#: cell together through the numpy kernel in
 #: :mod:`repro.search.ensemble` (non-walk algorithms fall back to the
-#: serial path per cell).  Like ``backend``, the engine never changes a
-#: number — per-run costs, flags, and oracle traces are bit-identical
+#: serial path per cell).  The engine never changes a number — per-run
+#: costs, flags, and oracle traces are bit-identical
 #: (``tests/test_search_ensemble.py``) — only wall-clock time.
 ENGINES = ("serial", "ensemble")
 
-#: Valid values of the ``generator`` trial parameter.  ``"serial"``
-#: (the default) grows graphs one edge at a time through the reference
-#: builders; ``"vectorized"`` builds the same realisation through the
-#: batched kernels in :mod:`repro.graphs.fastgen`, which consume the
-#: RNG in exactly the serial draw order (families without a kernel
-#: build serially).  Like ``backend`` and ``engine``, the generator
-#: never changes a number — edge lists, edge ids, and snapshot hashes
-#: are bit-identical (``tests/test_fastgen_equivalence.py``) — only
-#: wall-clock time.
-GENERATORS = ("serial", "vectorized")
+
+class Kernels(NamedTuple):
+    """The execution kernels a process runs its trials on.
+
+    ``engine`` is one of :data:`ENGINES`.  ``generator`` is
+    ``"serial"`` (the reference builders, one edge at a time) or
+    ``"vectorized"`` (the batched kernels in
+    :mod:`repro.graphs.fastgen`, which consume the RNG in exactly the
+    serial draw order; families without a kernel build serially).
+    The generator never changes a number either — edge lists, edge
+    ids, and snapshot hashes are bit-identical
+    (``tests/test_fastgen_equivalence.py``).
+    """
+
+    engine: str
+    generator: str
+
+
+def resolve_kernels() -> Kernels:
+    """The fastest kernels this interpreter can run.
+
+    ``Kernels("ensemble", "vectorized")`` when numpy imports, else
+    ``Kernels("serial", "serial")``.  Every place that builds a graph
+    or runs search cells asks here, so batch runs, the corpus and the
+    daemon choose alike.  The choice is not a trial parameter: both
+    kernels are bit-identical to the serial reference paths, which
+    stay as the numpy-less fallback and the equivalence oracle, so
+    cache keys and stored values are the same under either.
+    """
+    if HAVE_NUMPY:
+        return Kernels(engine="ensemble", generator="vectorized")
+    return Kernels(engine="serial", generator="serial")
 
 
 def snapshot_graph(graph: MultiGraph, backend: str) -> GraphBackend:
@@ -172,14 +202,14 @@ def build_graph_snapshot(
     size: int,
     seed: int,
     backend: str = "frozen",
-    generator: str = "serial",
 ) -> GraphBackend:
     """Build one family instance and snapshot it per ``backend``.
 
     The one place independent-build trials obtain their graph, so the
-    ``generator`` axis and the on-disk corpus compose uniformly:
+    generator choice and the on-disk corpus compose uniformly:
 
-    * ``generator="vectorized"`` builds through
+    * under the vectorized generator (see :func:`resolve_kernels`) the
+      graph builds through
       :meth:`~repro.core.families.GraphFamily.build_frozen` (the
       fastgen kernels where the family has one — bit-identical to the
       serial builder), then thaws if ``backend="multigraph"`` asks for
@@ -189,18 +219,13 @@ def build_graph_snapshot(
       ``"frozen"`` and the family builds exact-size graphs (the
       configuration family's giant component does not), the snapshot
       is served from / persisted to the memory-mapped store keyed by
-      ``(family spec, n, seed)``.  The
-      stored bytes are generator-independent, so a corpus built
-      serially also serves vectorized runs (and vice versa) — the
-      determinism contract makes them the same graph.
+      ``(family spec, n, seed)``.  The stored bytes are
+      generator-independent — the determinism contract makes both
+      generators build the same graph.
 
     Numbers never depend on any of this — only wall-clock time.
     """
-    if generator not in GENERATORS:
-        raise ExperimentError(
-            f"unknown graph generator {generator!r}; valid: "
-            f"{', '.join(GENERATORS)}"
-        )
+    generator = resolve_kernels().generator
 
     def _build() -> GraphBackend:
         if generator == "vectorized":
@@ -467,7 +492,7 @@ def _execute_cells(
     budget: Optional[int],
     neighbor_success: bool,
     seed: int,
-    engine: str = "serial",
+    engine: Optional[str] = None,
 ) -> List[Dict[str, Any]]:
     """Run a batch of search cells against one (snapshotted) graph.
 
@@ -478,13 +503,17 @@ def _execute_cells(
     any regrouping of cells (by portfolio, by explicit batch, by
     ensemble) is draw-for-draw identical to the monolithic iteration.
 
-    ``engine`` selects the execution strategy (see :data:`ENGINES`):
-    under ``"ensemble"``, cells are grouped by (algorithm, start,
-    target) and each walk-family group advances through
+    ``engine`` selects the execution strategy (see :data:`ENGINES`);
+    ``None`` takes :func:`resolve_kernels`'s choice, and the equivalence
+    batteries pin one engine against the other by naming it.  Under
+    ``"ensemble"``, cells are grouped by (algorithm, start, target) and
+    each walk-family group advances through
     :func:`repro.search.ensemble.run_ensemble` in one lock-step batch,
     each run seeded exactly as its serial counterpart; groups without a
     kernel run serially.  Results come back in cell order either way.
     """
+    if engine is None:
+        engine = resolve_kernels().engine
     if engine not in ENGINES:
         raise ExperimentError(
             f"unknown search engine {engine!r}; valid: "
@@ -583,8 +612,6 @@ def search_cost_graph_trial(
     neighbor_success: bool = False,
     start_rule: str = "default",
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
     seed: int = 0,
 ) -> Dict[str, List[Dict[str, Any]]]:
     """One graph realisation searched by a whole portfolio.
@@ -594,15 +621,14 @@ def search_cost_graph_trial(
     from it exactly as in the original serial loop, so the decomposed
     grid is draw-for-draw identical to the monolithic one.  ``backend``
     selects the graph form the searches run on (see
-    :func:`snapshot_graph`), ``engine`` the cell execution strategy
-    (see :data:`ENGINES`) and ``generator`` the construction strategy
-    (see :data:`GENERATORS`); all three change wall-clock time, never
+    :func:`snapshot_graph`); the construction and cell kernels are
+    :func:`resolve_kernels`'s.  Both change wall-clock time, never
     numbers.
     """
     family_obj = build_family(family)
     factories = portfolio_factories(portfolio)
     graph = build_graph_snapshot(
-        family_obj, size, seed, backend, generator
+        family_obj, size, seed, backend
     )
     target = family_obj.theorem_target(graph)
     start = choose_start(family_obj, graph, target, start_rule, seed)
@@ -620,7 +646,6 @@ def search_cost_graph_trial(
         budget=budget,
         neighbor_success=neighbor_success,
         seed=seed,
-        engine=engine,
     )
     collected: Dict[str, List[Dict[str, Any]]] = {}
     for cell, result in zip(cells, cell_results):
@@ -638,8 +663,6 @@ def batched_search_trial(
     neighbor_success: bool = False,
     start_rule: str = "default",
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
     seed: int = 0,
 ) -> List[Dict[str, Any]]:
     """One generated graph snapshot serving an explicit batch of cells.
@@ -661,15 +684,15 @@ def batched_search_trial(
     per cell, in cell order.  Per-cell run seeds use the same substream
     formula as the serial loops, so a batch containing the portfolio
     grid reproduces :func:`search_cost_graph_trial` bit-for-bit.
-    ``engine="ensemble"`` advances each walk-family (algorithm, start,
-    target) group of the batch in one lock-step kernel call — same
-    seeds, same numbers, same traces (see :data:`ENGINES`); the graph
-    itself is built per ``generator`` (see :data:`GENERATORS`).
+    Under the ensemble engine (see :func:`resolve_kernels`) each
+    walk-family (algorithm, start, target) group of the batch advances
+    in one lock-step kernel call — same seeds, same numbers, same
+    traces.
     """
     family_obj = build_family(family)
     factories = portfolio_factories(portfolio)
     graph = build_graph_snapshot(
-        family_obj, size, seed, backend, generator
+        family_obj, size, seed, backend
     )
     target = family_obj.theorem_target(graph)
     start = choose_start(family_obj, graph, target, start_rule, seed)
@@ -682,7 +705,6 @@ def batched_search_trial(
         budget=budget,
         neighbor_success=neighbor_success,
         seed=seed,
-        engine=engine,
     )
 
 
@@ -719,14 +741,12 @@ def churn_search_trial(
     budget: Optional[int] = None,
     neighbor_success: bool = False,
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
     seed: int = 0,
 ) -> Dict[str, Any]:
     """One churned graph realisation searched by a whole portfolio.
 
-    Builds the family graph from ``seed`` (honoring ``backend`` /
-    ``generator`` exactly like :func:`search_cost_graph_trial`), drives
+    Builds the family graph from ``seed`` (honoring ``backend``
+    exactly like :func:`search_cost_graph_trial`), drives
     ``round(churn_rate * size)`` population-preserving churn steps
     (leave + model-faithful join per step, leaves biased per
     ``churn_bias``) through a :class:`~repro.graphs.churn.ChurnProcess`
@@ -752,7 +772,7 @@ def churn_search_trial(
     family_obj = build_family(family)
     factories = portfolio_factories(portfolio)
     base = build_graph_snapshot(
-        family_obj, size, seed, backend, generator
+        family_obj, size, seed, backend
     )
     process = ChurnProcess(
         family_obj,
@@ -778,7 +798,6 @@ def churn_search_trial(
         budget=budget,
         neighbor_success=neighbor_success,
         seed=seed,
-        engine=engine,
     )
     collected: Dict[str, List[Dict[str, Any]]] = {}
     for cell, result in zip(cells, cell_results):
@@ -801,7 +820,6 @@ def churn_survival_trial(
     churn_bias: str = "uniform",
     resnapshot_every: int = 0,
     backend: str = "frozen",
-    generator: str = "serial",
     seed: int = 0,
 ) -> Dict[str, Any]:
     """Giant-component survival of one realisation under pure decay.
@@ -831,7 +849,7 @@ def churn_survival_trial(
         )
     family_obj = build_family(family)
     base = build_graph_snapshot(
-        family_obj, size, seed, backend, generator
+        family_obj, size, seed, backend
     )
     initial = base.num_vertices
     process = ChurnProcess(
@@ -873,8 +891,6 @@ def trajectory_scaling_trial(
     neighbor_success: bool = False,
     start_rule: str = "default",
     backend: str = "frozen",
-    engine: str = "serial",
-    generator: str = "serial",
     seed: int = 0,
 ) -> Dict[str, Dict[str, List[Dict[str, Any]]]]:
     """One growth trajectory serving a whole scaling grid of cells.
@@ -889,15 +905,10 @@ def trajectory_scaling_trial(
     regression pins enforce it).  Keys are strings so the value
     round-trips unchanged through the JSON result store.
     """
-    if generator not in GENERATORS:
-        raise ExperimentError(
-            f"unknown graph generator {generator!r}; valid: "
-            f"{', '.join(GENERATORS)}"
-        )
     family_obj = build_family(family)
     factories = portfolio_factories(portfolio)
     full_graph, marks = family_obj.build_trajectory(
-        sizes, seed=seed, generator=generator
+        sizes, seed=seed, generator=resolve_kernels().generator
     )
     values: Dict[str, Dict[str, List[Dict[str, Any]]]] = {}
     for size, graph in trajectory_snapshots(
@@ -921,8 +932,7 @@ def trajectory_scaling_trial(
             budget=budget,
             neighbor_success=neighbor_success,
             seed=seed,
-            engine=engine,
-        )
+            )
         collected: Dict[str, List[Dict[str, Any]]] = {}
         for cell, result in zip(cells, cell_results):
             collected.setdefault(cell["algorithm"], []).append(result)
@@ -935,7 +945,6 @@ def trajectory_slowdown_trial(
     family: Dict[str, Any],
     sizes: List[int],
     backend: str = "frozen",
-    generator: str = "serial",
     seed: int = 0,
 ) -> Dict[str, Dict[str, int]]:
     """E17's simulation-slowdown cells along one growth trajectory.
@@ -947,14 +956,9 @@ def trajectory_slowdown_trial(
     """
     from repro.core.families import theorem_target_for_size
 
-    if generator not in GENERATORS:
-        raise ExperimentError(
-            f"unknown graph generator {generator!r}; valid: "
-            f"{', '.join(GENERATORS)}"
-        )
     family_obj = build_family(family)
     full_graph, marks = family_obj.build_trajectory(
-        sizes, seed=seed, generator=generator
+        sizes, seed=seed, generator=resolve_kernels().generator
     )
     values: Dict[str, Dict[str, int]] = {}
     for size, graph in trajectory_snapshots(
@@ -1003,7 +1007,6 @@ def simulation_slowdown_trial(
     family: Dict[str, Any],
     size: int,
     backend: str = "frozen",
-    generator: str = "serial",
     seed: int = 0,
 ) -> Dict[str, Any]:
     """One E17 instance: strong vs simulated-weak cost and max degree.
@@ -1015,7 +1018,7 @@ def simulation_slowdown_trial(
 
     family_obj = build_family(family)
     graph = build_graph_snapshot(
-        family_obj, size, seed, backend, generator
+        family_obj, size, seed, backend
     )
     target = theorem_target_for_size(size)
     strong_result = run_search(

@@ -7,10 +7,7 @@ per cell would regenerate the graph realisation for every cell; these
 helpers instead pack a whole cell list into each spec (one per graph
 seed) so the trial function builds the topology once, snapshots it, and
 serves every cell from the snapshot — the batched layout
-:func:`repro.core.trials.batched_search_trial` executes.  The optional
-``engine`` axis rides along the same way: ``engine="ensemble"`` makes
-the trial advance each walk-family cell group through the lock-step
-numpy kernel (:mod:`repro.search.ensemble`), bit-identically to serial.
+:func:`repro.core.trials.batched_search_trial` executes.
 
 The helpers are trial-agnostic: any pure trial whose parameters carry a
 list of cells and whose value is the same-length list of per-cell
@@ -48,7 +45,6 @@ def batched_specs(
     cells: Sequence[Mapping[str, Any]],
     graph_seeds: Sequence[int],
     cells_key: str = "cells",
-    engine: str = "serial",
 ) -> List[TrialSpec]:
     """One :class:`TrialSpec` per graph seed, each carrying every cell.
 
@@ -66,18 +62,10 @@ def batched_specs(
     graph_seeds:
         One spec is emitted per seed, in order — callers derive these
         with :func:`repro.rng.substream` exactly as for unbatched specs.
-    engine:
-        Cell execution strategy forwarded to the trial (see
-        :data:`repro.core.trials.ENGINES`).  Follows the backend
-        cache-key policy: values are engine-independent, so only a
-        non-default engine enters the params (and hence the cache
-        key) — flipping the engine replays existing serial caches.
     """
     if not cells:
         raise ExperimentError("batched specs need at least one cell")
     params: Dict[str, Any] = dict(base_params)
-    if engine != "serial":
-        params["engine"] = engine
     params[cells_key] = [dict(cell) for cell in cells]
     return [
         TrialSpec(

@@ -12,11 +12,11 @@ owns the *meaning* of a query:
   cell are the same function application;
 * :func:`validate_query` maps malformed input to 400 and unknown
   graph/algorithm ids to 404 before anything reaches a worker;
-* :func:`execute_service_query` runs inside a pool worker: it attaches
+* :func:`execute_service_batch` runs inside a pool worker: it attaches
   the entry's shared-memory segment once (cached per process) and
-  answers through :func:`~repro.core.trials._execute_cells` with
-  ``seed = graph seed`` — the same ``run_substream`` fan-out as every
-  batch loop.
+  answers a batch of queries through
+  :func:`~repro.core.trials._execute_cells` with ``seed = graph seed``
+  — the same ``run_substream`` fan-out as every batch loop.
 
 The two benchmark trial functions at the bottom are the PR's measured
 pair: :func:`shm_search_trial` (attach-by-name, the new path) versus
@@ -28,6 +28,7 @@ outputs are bit-identical by construction.
 from __future__ import annotations
 
 import json
+import signal
 from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -56,7 +57,6 @@ __all__ = [
     "build_grid_entries",
     "entry_from_snapshot",
     "execute_service_batch",
-    "execute_service_query",
     "graph_payload",
     "load_corpus_entries",
     "payload_search_trial",
@@ -167,8 +167,6 @@ def build_grid_entries(
     family_obj,
     sizes,
     seeds,
-    *,
-    generator: str = "serial",
 ) -> List[GraphEntry]:
     """Build the catalog for a ``(family, sizes, seeds)`` grid.
 
@@ -180,9 +178,7 @@ def build_grid_entries(
     entries = []
     for size in sizes:
         for seed in seeds:
-            snapshot = build_graph_snapshot(
-                family_obj, size, seed, "frozen", generator
-            )
+            snapshot = build_graph_snapshot(family_obj, size, seed, "frozen")
             entries.append(
                 entry_from_snapshot(spec, size, seed, snapshot)
             )
@@ -304,7 +300,14 @@ def service_worker_init(manifest_json: str) -> None:
     ``manifest_json`` maps graph id to ``{"shm", "seed", "target",
     "start", "portfolio"}`` — everything a worker needs to answer any
     query without ever unpickling a graph.
+
+    Forked workers inherit ``repro serve``'s SIGTERM/SIGINT handlers,
+    which only ask the daemon to stop; the defaults come back here so
+    the pool can still terminate a worker and SIGINT still interrupts
+    one.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     _WORKER_STATE["manifest"] = json.loads(manifest_json)
     _WORKER_STATE["graphs"] = {}
 
@@ -320,7 +323,6 @@ def _worker_graph(graph_id: str, shm_name: str) -> FrozenGraph:
 def execute_service_batch(
     graph_id: str,
     cells: List[Dict[str, Any]],
-    engine: str = "serial",
 ) -> List[Dict[str, Any]]:
     """Answer a coalesced batch of validated queries in one worker call.
 
@@ -330,10 +332,11 @@ def execute_service_batch(
     determinism contract: per-cell RNG substreams depend only on
     ``(seed, algorithm, run_index)``, never on how queries were
     grouped, so a coalesced answer equals the per-query answer bit for
-    bit.  Under ``engine="ensemble"`` the batch's same-``(algorithm,
-    start, target)`` cells advance through the lock-step kernel in one
-    call (serial fallback cells run unchanged inside the same
-    ``_execute_cells`` invocation).
+    bit.  Under the ensemble engine (see
+    :func:`~repro.core.trials.resolve_kernels`) the batch's
+    same-``(algorithm, start, target)`` cells advance through the
+    lock-step kernel in one call (serial fallback cells run unchanged
+    inside the same ``_execute_cells`` invocation).
     """
     info = _WORKER_STATE["manifest"][graph_id]
     graph = _worker_graph(graph_id, info["shm"])
@@ -347,25 +350,7 @@ def execute_service_batch(
         budget=None,
         neighbor_success=False,
         seed=info["seed"],
-        engine=engine,
     )
-
-
-def execute_service_query(
-    graph_id: str,
-    algorithm: str,
-    run_index: int,
-    start: Optional[int],
-    target: Optional[int],
-) -> Dict[str, Any]:
-    """Answer one validated query inside a pool worker.
-
-    The single-cell form of :func:`execute_service_batch` — kept as
-    the per-query dispatch target (``batch_window=0``) and for
-    callers of the PR 9 surface.
-    """
-    cell = query_cell(algorithm, run_index, start, target)
-    return execute_service_batch(graph_id, [cell])[0]
 
 
 def query_cell(

@@ -18,8 +18,9 @@ The load-once/serve-many shape:
    dispatch layer** (:class:`~repro.service.dispatch.BatchDispatcher`):
    concurrent queries for the same graph coalesce over a short window
    into one worker call that answers the whole batch via
-   ``_execute_cells`` — ensemble engine when numpy is available,
-   serial otherwise — and the answers fan back out to the waiting
+   ``_execute_cells`` — on the kernels
+   :func:`~repro.core.trials.resolve_kernels` picks, like every batch
+   run — and the answers fan back out to the waiting
    threads.  A hot-cell :class:`~repro.service.dispatch.AnswerCache`
    sits in front: repeated queries are replay-addressable cells, so a
    hit skips the pool entirely (optionally write-through/read-through
@@ -69,8 +70,8 @@ from concurrent.futures.process import BrokenProcessPool
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional
 
+from repro.core.trials import resolve_kernels
 from repro.errors import ExperimentError
-from repro.graphs.frozen import HAVE_NUMPY
 from repro.graphs.shm import publish_graph
 from repro.service.core import (
     GraphEntry,
@@ -131,9 +132,6 @@ class SearchService:
         Optional :class:`~repro.runner.store.TrialStore` the cache
         writes through to (and reads through from): served answers
         persist as replay-addressable trial records.
-    engine:
-        Cell execution engine for batches; default auto — ensemble
-        when numpy is available, serial otherwise.
     stats_interval:
         Seconds between operator log lines (``0`` disables).
     """
@@ -153,7 +151,6 @@ class SearchService:
         query_timeout: float = 30.0,
         cache_size: int = 2048,
         cache_store: Any = None,
-        engine: Optional[str] = None,
         stats_interval: float = 0.0,
         nodelay: bool = True,
     ):
@@ -162,13 +159,6 @@ class SearchService:
         if workers < 1:
             raise ExperimentError(
                 f"workers must be >= 1, got {workers}"
-            )
-        if engine is None:
-            engine = "ensemble" if HAVE_NUMPY else "serial"
-        elif engine not in ("serial", "ensemble"):
-            raise ExperimentError(
-                f"unknown service engine {engine!r}; "
-                "valid: serial, ensemble"
             )
         if query_timeout <= 0:
             raise ExperimentError(
@@ -186,7 +176,9 @@ class SearchService:
         self.batch_max = batch_max
         self.max_queue = max_queue
         self.query_timeout = query_timeout
-        self.engine = engine
+        # Workers resolve the same kernels on their own; this copy
+        # labels the log line and /stats.
+        self.engine = resolve_kernels().engine
         # nodelay=False restores the PR 9 wire behavior (Nagle on, so
         # the two-send HTTP reply stalls behind delayed ACK) — kept
         # solely so the benchmark can reconstruct that baseline.
@@ -364,8 +356,7 @@ class SearchService:
                 raise QueryError(503, "service is shutting down")
             try:
                 return pool.submit(
-                    execute_service_batch,
-                    graph_id, cells, self.engine,
+                    execute_service_batch, graph_id, cells
                 )
             except (BrokenProcessPool, RuntimeError) as error:
                 self._respawn_pool(pool)

@@ -259,11 +259,52 @@ class TestChurnTrials:
 
     @needs_numpy
     def test_serial_and_ensemble_engines_identical(self):
-        serial = churn_search_trial(**self.trial_kwargs(engine="serial"))
-        ensemble = churn_search_trial(
-            **self.trial_kwargs(engine="ensemble")
+        """Both engines on the churned overlay (the ensemble kernel
+        runs on its masked-CSR view), through the internal
+        ``_execute_cells(engine=...)`` oracle seam."""
+        from repro.core.trials import (
+            _churn_endpoints,
+            _execute_cells,
+            build_family,
+            build_graph_snapshot,
+            portfolio_factories,
+        )
+
+        kwargs = self.trial_kwargs()
+        family_obj = build_family(kwargs["family"])
+        base = build_graph_snapshot(
+            family_obj, kwargs["size"], kwargs["seed"]
+        )
+        process = ChurnProcess(family_obj, base, seed=kwargs["seed"])
+        graph = process.run(
+            int(round(kwargs["churn_rate"] * base.num_vertices))
+        )
+        start, target = _churn_endpoints(family_obj, base, graph)
+        factories = portfolio_factories(kwargs["portfolio"])
+        cells = [
+            {"algorithm": name, "run_index": run_index}
+            for name in factories
+            for run_index in range(kwargs["runs_per_graph"])
+        ]
+        serial, ensemble = (
+            _execute_cells(
+                graph,
+                factories,
+                cells,
+                default_start=start,
+                default_target=target,
+                budget=kwargs["budget"],
+                neighbor_success=False,
+                seed=kwargs["seed"],
+                engine=engine,
+            )
+            for engine in ("serial", "ensemble")
         )
         assert serial == ensemble
+        collected = {}
+        for cell, value in zip(cells, serial):
+            collected.setdefault(cell["algorithm"], []).append(value)
+        assert churn_search_trial(**kwargs)["results"] == collected
 
     def test_degree_bias_changes_the_trial(self):
         uniform = churn_search_trial(**self.trial_kwargs())
@@ -336,15 +377,13 @@ class TestChurnExperiments:
         assert "E22" in REGISTRY.ids()
         e21 = REGISTRY.get("E21")
         assert set(e21.capabilities) == {
-            "jobs", "cache", "backend", "engine", "generator", "store",
+            "jobs", "cache", "backend", "store",
         }
         for name in (
             "churn_rates", "churn_bias", "resnapshot_every",
         ):
             assert name in e21.param_names
         e22 = REGISTRY.get("E22")
-        # E22 runs no searches, so it does not declare the engine axis.
-        assert "engine" not in e22.capabilities
         assert "remove_fractions" in e22.param_names
 
     def test_e21_identical_across_jobs(self):
@@ -356,15 +395,17 @@ class TestChurnExperiments:
         assert solo.tables == fanned.tables
 
     @needs_numpy
-    def test_e21_identical_across_engines(self):
+    def test_e21_identical_under_serial_fallback(self, monkeypatch):
+        """The numpy-less kernels (what the resolver picks without
+        numpy) reproduce the default run exactly."""
+        import repro.core.trials as trials_module
         from repro.core.experiments import e21_churn_search
 
-        serial = e21_churn_search(**self.E21_KWARGS, engine="serial")
-        ensemble = e21_churn_search(
-            **self.E21_KWARGS, engine="ensemble"
-        )
-        assert serial.derived == ensemble.derived
-        assert serial.tables == ensemble.tables
+        fast = e21_churn_search(**self.E21_KWARGS)
+        monkeypatch.setattr(trials_module, "HAVE_NUMPY", False)
+        serial = e21_churn_search(**self.E21_KWARGS)
+        assert serial.derived == fast.derived
+        assert serial.tables == fast.tables
 
     def test_e22_derived_surface(self):
         from repro.core.experiments import e22_giant_survival

@@ -16,9 +16,8 @@ wall-clock time.  The battery pins:
 * **the cache protocol** — hit/miss accounting, build-once semantics,
   environment activation, and the ``build_graph_snapshot`` wiring that
   serves experiment runs from the corpus;
-* **cache keys** — the ``generator`` axis follows the backend/engine
-  policy: the default never enters trial params, so corpus-less and
-  pre-corpus cache entries keep replaying.
+* **cache keys** — the generator choice never enters trial params, so
+  corpus-less and pre-corpus cache entries keep replaying.
 """
 
 from __future__ import annotations
@@ -272,18 +271,20 @@ class TestCacheProtocol:
         self, tmp_path, monkeypatch
     ):
         """The experiment build path fills, then hits, the corpus —
-        and a serial-built entry serves a vectorized run (the stored
-        bytes are generator-independent by the equivalence contract)."""
+        and a serial-built entry serves a run on the auto-selected
+        generator (the stored bytes are generator-independent by the
+        equivalence contract)."""
         monkeypatch.setenv(CORPUS_DIR_VARIABLE, str(tmp_path))
         reset_corpus_stats()
         family = MoriFamily(p=0.5, m=2)
-        first = build_graph_snapshot(family, 60, 2, "frozen", "serial")
-        again = build_graph_snapshot(family, 60, 2, "frozen", "serial")
-        crossed = build_graph_snapshot(
-            family, 60, 2, "frozen", "vectorized"
-        )
+        first = build_graph_snapshot(family, 60, 2, "frozen")
+        again = build_graph_snapshot(family, 60, 2, "frozen")
+        serial = family.build_frozen(60, seed=3, generator="serial")
+        GraphCorpus(tmp_path).put(family_spec(family), 60, 3, serial)
+        crossed = build_graph_snapshot(family, 60, 3, "frozen")
         assert corpus_stats() == {"hits": 2, "misses": 1}
-        assert first == again == crossed
+        assert first == again
+        assert crossed == serial
 
     def test_multigraph_backend_bypasses_corpus(
         self, tmp_path, monkeypatch
@@ -291,7 +292,7 @@ class TestCacheProtocol:
         monkeypatch.setenv(CORPUS_DIR_VARIABLE, str(tmp_path))
         reset_corpus_stats()
         family = MoriFamily(p=0.5, m=1)
-        build_graph_snapshot(family, 50, 0, "multigraph", "serial")
+        build_graph_snapshot(family, 50, 0, "multigraph")
         assert corpus_stats() == {"hits": 0, "misses": 0}
         assert list(GraphCorpus(tmp_path).entries()) == []
 
@@ -307,38 +308,35 @@ class TestCacheProtocol:
         monkeypatch.setenv(CORPUS_DIR_VARIABLE, str(tmp_path))
         reset_corpus_stats()
         family = ConfigurationFamily(exponent=2.5, min_degree=2)
-        snapshot = build_graph_snapshot(
-            family, 120, 7, "frozen", "serial"
-        )
+        snapshot = build_graph_snapshot(family, 120, 7, "frozen")
         assert snapshot.num_vertices <= 120
         assert corpus_stats() == {"hits": 0, "misses": 0}
         assert list(GraphCorpus(tmp_path).entries()) == []
 
 
 class TestGeneratorCacheKey:
-    """The generator axis follows the backend/engine cache-key policy."""
+    """No kernel choice enters trial params, so stores filled under
+    either kernel (or before the kernels were auto-selected) replay."""
 
-    def test_default_generator_stays_out_of_trial_params(self):
+    def test_default_cell_keys_are_pinned(self):
         from repro.core.searchability import _build_cell_specs
 
-        def keys(generator):
-            specs = _build_cell_specs(
-                "E1", MoriFamily(p=0.5, m=1), 60, "weak", 1, 1, None,
-                1, False, "default", "frozen", "serial", generator,
-            )
-            return [spec.params for spec in specs]
-
-        serial_params = keys("serial")
-        assert all("generator" not in p for p in serial_params)
-        vector_params = keys("vectorized")
-        assert all(
-            p["generator"] == "vectorized" for p in vector_params
+        specs = _build_cell_specs(
+            "E1", MoriFamily(p=0.5, m=1), 60, "weak", 2, 1, None,
+            1, False, "default", "frozen",
         )
-        stripped = [
-            {k: v for k, v in p.items() if k != "generator"}
-            for p in vector_params
+        for spec in specs:
+            assert "generator" not in spec.params
+            assert "engine" not in spec.params
+        assert [spec.key() for spec in specs] == [
+            (
+                "E1",
+                "4349c08dd8dd4ac96d7205f3d1a8b6de"
+                "46cf506699273e46fcbf1cec2541976d",
+                seed,
+            )
+            for seed in (627405149472732430, 16860738450190168606)
         ]
-        assert stripped == serial_params
 
 
 class TestCorpusCli:
@@ -349,7 +347,6 @@ class TestCorpusCli:
         assert main([
             "corpus", "build", root, "--model", "mori",
             "--sizes", "40,60", "--seeds", "0,1",
-            "--generator", "vectorized",
         ]) == 0
         assert "4 built" in capsys.readouterr().out
         # Rebuilding is a no-op: everything is already present.
@@ -394,8 +391,7 @@ class TestCorpusCli:
         root = str(tmp_path / "corpus")
         argv = [
             "run", "E17", "--quick", "--set", "sizes=60",
-            "--set", "num_graphs=1", "--generator", "vectorized",
-            "--corpus-dir", root,
+            "--set", "num_graphs=1", "--corpus-dir", root,
         ]
         assert main(argv) == 0
         first = capsys.readouterr().out

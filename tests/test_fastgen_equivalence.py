@@ -18,9 +18,10 @@ contract from every side:
 * **trajectory checkpoints** — vectorized ``build_trajectory`` returns
   the serial marks, and its ``prefix()`` snapshots match the same
   golden digests the serial checkpoints pinned in PR 3;
-* **dispatch** — ``build_graph_snapshot`` and the family layer route
-  ``generator="vectorized"`` correctly, kernel-less families fall back
-  serially, and without numpy the engine bows out with a clean
+* **dispatch** — ``build_graph_snapshot`` (on the auto-selected
+  generator) and the family layer's ``generator="vectorized"`` agree
+  with the serial builders, kernel-less families fall back serially,
+  and without numpy the engine bows out with a clean
   :class:`~repro.errors.EngineUnavailableError`.
 """
 
@@ -39,12 +40,9 @@ from repro.core.families import (
     CooperFriezeFamily,
     MoriFamily,
 )
-from repro.core.trials import GENERATORS, build_graph_snapshot
-from repro.errors import (
-    EngineUnavailableError,
-    ExperimentError,
-    InvalidParameterError,
-)
+import repro.core.trials as trials_module
+from repro.core.trials import build_graph_snapshot
+from repro.errors import EngineUnavailableError, InvalidParameterError
 from repro.graphs import FrozenGraph, MultiGraph, freeze
 from repro.graphs.barabasi_albert import barabasi_albert_graph
 from repro.graphs.cooper_frieze import (
@@ -378,30 +376,25 @@ class TestStreamDiscipline:
 
 class TestDispatch:
     @needs_numpy
-    def test_build_graph_snapshot_frozen_backend(self):
+    def test_build_graph_snapshot_frozen_backend(self, monkeypatch):
         family = MoriFamily(p=0.5, m=2)
-        fast = build_graph_snapshot(family, 80, 4, "frozen", "vectorized")
-        serial = build_graph_snapshot(family, 80, 4, "frozen", "serial")
+        fast = build_graph_snapshot(family, 80, 4, "frozen")
+        monkeypatch.setattr(trials_module, "HAVE_NUMPY", False)
+        serial = build_graph_snapshot(family, 80, 4, "frozen")
         assert isinstance(fast, FrozenGraph)
-        assert fast == serial
+        assert fast == serial == freeze(family.build(80, seed=4))
         assert hash(fast) == hash(serial)
 
     @needs_numpy
-    def test_build_graph_snapshot_multigraph_backend_thaws(self):
+    def test_build_graph_snapshot_multigraph_backend_thaws(
+        self, monkeypatch
+    ):
         family = MoriFamily(p=0.5, m=2)
-        fast = build_graph_snapshot(
-            family, 80, 4, "multigraph", "vectorized"
-        )
-        serial = build_graph_snapshot(
-            family, 80, 4, "multigraph", "serial"
-        )
+        fast = build_graph_snapshot(family, 80, 4, "multigraph")
+        monkeypatch.setattr(trials_module, "HAVE_NUMPY", False)
+        serial = build_graph_snapshot(family, 80, 4, "multigraph")
         assert isinstance(fast, MultiGraph)
         assert freeze(fast) == freeze(serial)
-
-    def test_unknown_generator_is_rejected(self):
-        family = MoriFamily(p=0.5, m=1)
-        with pytest.raises(ExperimentError, match="unknown graph generator"):
-            build_graph_snapshot(family, 40, 0, "frozen", "warp")
 
     def test_kernel_less_family_falls_back_serially(self):
         """ConfigurationFamily has no kernel: vectorized == serial."""
@@ -410,7 +403,6 @@ class TestDispatch:
         assert fast == freeze(family.build(120, seed=6))
 
     def test_generators_vocabulary(self):
-        assert GENERATORS == ("serial", "vectorized")
         assert FASTGEN_MODELS == (
             "mori", "mori-edges-per-step", "ba", "cooper-frieze"
         )

@@ -44,6 +44,13 @@ needs_numpy = pytest.mark.skipif(
 )
 
 
+def serial_fallback(monkeypatch):
+    """Make the trial layer pick the numpy-less serial kernels."""
+    import repro.core.trials as trials_module
+
+    monkeypatch.setattr(trials_module, "HAVE_NUMPY", False)
+
+
 class TestWrapperSpecParity:
     """The drift guard: spec schema == public wrapper signature."""
 
@@ -128,8 +135,6 @@ class TestRegistrySemantics:
         spec = REGISTRY.get("E1")
         with pytest.raises(ExperimentError, match="unknown graph backend"):
             spec.make_context(backend="sparse")
-        with pytest.raises(ExperimentError, match="unknown search engine"):
-            spec.make_context(engine="gpu")
 
     def test_declared_defaults_reach_the_context(self):
         context = REGISTRY.get("E19").make_context()
@@ -176,7 +181,6 @@ class TestRegistrySemantics:
         assert context.jobs == CAPABILITY_PARAMS["jobs"][1]
         assert context.store is CAPABILITY_PARAMS["cache"][1]
         assert context.backend == CAPABILITY_PARAMS["backend"][1]
-        assert context.engine == CAPABILITY_PARAMS["engine"][1]
         assert context.mode == CAPABILITY_PARAMS["mode"][1]
         assert context.store_backend is CAPABILITY_PARAMS["store"][1]
 
@@ -185,11 +189,8 @@ class TestRegistrySemantics:
         # forced non-defaults enter.
         assert ExecutionContext().trial_params_extra() == {}
         assert ExecutionContext(
-            backend="multigraph", engine="ensemble"
-        ).trial_params_extra() == {
-            "backend": "multigraph",
-            "engine": "ensemble",
-        }
+            backend="multigraph"
+        ).trial_params_extra() == {"backend": "multigraph"}
 
 
 class TestAuditedAxes:
@@ -197,18 +198,13 @@ class TestAuditedAxes:
 
     def test_matrix_rows(self):
         matrix = REGISTRY.capability_matrix()
-        assert matrix["E9"] == (
-            "jobs", "cache", "backend", "engine", "generator",
-            "store",
-        )
+        assert matrix["E9"] == ("jobs", "cache", "backend", "store")
         assert matrix["E12"] == ("backend",)
         assert matrix["E18"] == (
-            "jobs", "cache", "backend", "engine", "mode", "generator",
-            "store",
+            "jobs", "cache", "backend", "mode", "store",
         )
         assert matrix["E19"] == (
-            "jobs", "cache", "backend", "engine", "mode", "generator",
-            "store",
+            "jobs", "cache", "backend", "mode", "store",
         )
         # E8 stays axis-free on purpose: greedy routing navigates by
         # lattice coordinates, not through the oracle machinery.
@@ -235,26 +231,26 @@ class TestAuditedAxes:
         assert frozen.derived == multigraph.derived
 
     @needs_numpy
-    def test_e18_engine_invariant(self):
+    def test_e18_engine_invariant(self, monkeypatch):
         from repro.core.experiments import e18_start_rule
 
         kwargs = dict(
             sizes=(60, 120), num_graphs=2, runs_per_graph=1, seed=18
         )
-        serial = e18_start_rule(**kwargs)
-        ensemble = e18_start_rule(**kwargs, engine="ensemble")
-        assert serial.derived == ensemble.derived
+        fast = e18_start_rule(**kwargs)
+        serial_fallback(monkeypatch)
+        assert e18_start_rule(**kwargs).derived == fast.derived
 
     @needs_numpy
-    def test_e19_engine_invariant(self):
+    def test_e19_engine_invariant(self, monkeypatch):
         from repro.core.experiments import e19_trajectory_scaling
 
         kwargs = dict(
             sizes=(100, 200), num_graphs=2, runs_per_graph=1, seed=19
         )
-        serial = e19_trajectory_scaling(**kwargs)
-        ensemble = e19_trajectory_scaling(**kwargs, engine="ensemble")
-        assert serial.derived == ensemble.derived
+        fast = e19_trajectory_scaling(**kwargs)
+        serial_fallback(monkeypatch)
+        assert e19_trajectory_scaling(**kwargs).derived == fast.derived
 
 
 class TestE20:
@@ -316,25 +312,23 @@ class TestE20:
         assert frozen.derived == multigraph.derived
 
     @needs_numpy
-    def test_engine_invariant(self):
+    def test_engine_invariant(self, monkeypatch):
         from repro.core.experiments import e20_cross_model
 
-        serial = e20_cross_model(**self.QUICK)
-        ensemble = e20_cross_model(**self.QUICK, engine="ensemble")
-        assert serial.derived == ensemble.derived
+        fast = e20_cross_model(**self.QUICK)
+        serial_fallback(monkeypatch)
+        assert e20_cross_model(**self.QUICK).derived == fast.derived
 
     def test_cli_acceptance_flags(self, capsys, tmp_path):
         """The ISSUE acceptance shape, downsized: E20 through the real
-        CLI with jobs/backend (and engine under numpy) — no
-        experiment-specific CLI code exists for it."""
+        CLI with jobs/backend/cache/store — no experiment-specific CLI
+        code exists for it."""
         argv = [
             "run", "E20", "--quick", "--jobs", "2",
             "--backend", "frozen",
             "--cache-dir", str(tmp_path / "cache"),
             "--store-backend", "sqlite",
         ]
-        if HAVE_NUMPY:
-            argv += ["--engine", "ensemble"]
         assert main(argv) == 0
         captured = capsys.readouterr()
         assert "warning:" not in captured.err
@@ -351,7 +345,7 @@ class TestCLIListing:
         assert len(lines) == 22
         assert any(
             line.split()[0] == "E1"
-            and "jobs,cache,backend,engine" in line
+            and "jobs,cache,backend,store" in line
             for line in lines
         )
         # Axis-free experiments show a dash, not an empty cell.
@@ -413,13 +407,20 @@ class TestCLISetOverrides:
 
 class TestCLICapabilityDerivation:
     def test_warning_comes_from_declaration_not_signature(self, capsys):
-        # E17 declares jobs/cache/backend/mode but not engine.
-        assert main(
-            ["run", "E17", "--quick", "--engine", "serial"]
-        ) == 0
+        # E12 declares backend but not jobs.
+        assert main(["run", "E12", "--quick", "--jobs", "2"]) == 0
         err = capsys.readouterr().err
         assert err.count("warning:") == 1
-        assert "--engine serial has no effect on E17" in err
+        assert "--jobs 2 has no effect on E12" in err
+
+    @pytest.mark.parametrize(
+        "flag", (["--engine", "ensemble"], ["--generator", "vectorized"])
+    )
+    def test_kernel_flags_are_gone(self, capsys, flag):
+        # The trial layer picks the kernels; there is no flag to ask.
+        with pytest.raises(SystemExit):
+            main(["run", "E17", "--quick", *flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_declared_axes_never_warn(self, capsys, tmp_path):
         assert main(
@@ -428,7 +429,6 @@ class TestCLICapabilityDerivation:
                 "--jobs", "2",
                 "--cache-dir", str(tmp_path / "cache"),
                 "--backend", "frozen",
-                "--engine", "serial",
                 "--mode", "trajectory",
             ]
         ) == 0

@@ -6,13 +6,14 @@ counts, success flags, result extras, and the oracle request journal
 itself.  This battery pins that claim for every walk-family algorithm
 across all five graph models and both graph backends, plus:
 
-* the trial layer's ``engine`` axis (grouped ensemble dispatch and the
-  serial fallback for non-walk algorithms give the same cell values);
-* the cache-key policy (a non-default engine — like a non-default
-  backend — is the only thing that enters trial params);
+* the trial layer's internal ``_execute_cells(engine=...)`` seam
+  (grouped ensemble dispatch and the serial fallback for non-walk
+  algorithms give the same cell values, and the public trial
+  functions — on the auto-selected kernels — agree with both);
+* the cache-key policy (no kernel choice ever enters trial params);
 * the numpy-absent behaviour: ``engine='ensemble'`` raises a clean
   :class:`~repro.errors.EngineUnavailableError` instead of silently
-  degrading, while ``engine='serial'`` keeps working;
+  degrading, while the serial fallback keeps working;
 * golden pins of :func:`repro.rng.run_substream` — the one derivation
   both paths draw their per-run seeds from — including the first-draw
   traces of the generators it seeds.
@@ -27,7 +28,15 @@ from repro.core.families import (
     CooperFriezeFamily,
     MoriFamily,
 )
-from repro.core.trials import batched_search_trial, search_cost_graph_trial
+from repro.core.trials import (
+    _execute_cells,
+    batched_search_trial,
+    build_family,
+    build_graph_snapshot,
+    choose_start,
+    portfolio_factories,
+    search_cost_graph_trial,
+)
 from repro.errors import (
     EngineUnavailableError,
     ExperimentError,
@@ -276,9 +285,51 @@ class TestEnsembleSpecialCases:
         assert len(ENSEMBLE_ALGORITHMS) == 4
 
 
+def _cells_under(
+    engine, *, family, size, portfolio, cells, seed, backend="frozen"
+):
+    """``batched_search_trial``'s cells, run under a named engine.
+
+    The trial layer picks its engine itself; the internal
+    ``_execute_cells(engine=...)`` argument is the oracle seam that
+    pins one engine against the other on the very same snapshot.
+    """
+    family_obj = build_family(family)
+    graph = build_graph_snapshot(family_obj, size, seed, backend)
+    target = family_obj.theorem_target(graph)
+    start = choose_start(family_obj, graph, target, "default", seed)
+    return _execute_cells(
+        graph,
+        portfolio_factories(portfolio),
+        cells,
+        default_start=start,
+        default_target=target,
+        budget=None,
+        neighbor_success=False,
+        seed=seed,
+        engine=engine,
+    )
+
+
+def _grid(portfolio, runs_per_graph):
+    return [
+        {"algorithm": name, "run_index": run_index}
+        for name in portfolio_factories(portfolio)
+        for run_index in range(runs_per_graph)
+    ]
+
+
+def _grouped(cells, values):
+    collected = {}
+    for cell, value in zip(cells, values):
+        collected.setdefault(cell["algorithm"], []).append(value)
+    return collected
+
+
 @needs_numpy
 class TestEngineTrialAxis:
-    """engine='ensemble' through the trial layer: same values."""
+    """Serial vs ensemble through ``_execute_cells``: same values, and
+    the trial functions (auto-selected kernels) agree with both."""
 
     FAMILY = {"model": "mori", "p": 0.5, "m": 2}
 
@@ -302,60 +353,63 @@ class TestEngineTrialAxis:
             backend=backend,
             seed=23,
         )
-        serial = batched_search_trial(engine="serial", **kwargs)
-        ensemble = batched_search_trial(engine="ensemble", **kwargs)
+        serial = _cells_under("serial", **kwargs)
+        ensemble = _cells_under("ensemble", **kwargs)
         assert ensemble == serial
+        assert batched_search_trial(**kwargs) == serial
 
     @pytest.mark.parametrize("portfolio", ("weak", "strong"))
     def test_search_cost_graph_trial_engine_equality(self, portfolio):
+        cells = _grid(portfolio, 3)
         kwargs = dict(
-            family=self.FAMILY,
-            size=100,
-            portfolio=portfolio,
-            runs_per_graph=3,
-            seed=29,
+            family=self.FAMILY, size=100, portfolio=portfolio, seed=29
         )
-        serial = search_cost_graph_trial(engine="serial", **kwargs)
-        ensemble = search_cost_graph_trial(engine="ensemble", **kwargs)
+        serial = _cells_under("serial", cells=cells, **kwargs)
+        ensemble = _cells_under("ensemble", cells=cells, **kwargs)
         assert ensemble == serial
+        assert search_cost_graph_trial(
+            runs_per_graph=3, **kwargs
+        ) == _grouped(cells, serial)
 
     def test_trajectory_trial_engine_equality(self):
         from repro.core.trials import trajectory_scaling_trial
 
-        kwargs = dict(
-            family={"model": "mori", "p": 0.5, "m": 1},
+        family = {"model": "mori", "p": 0.5, "m": 1}
+        cells = _grid("weak", 2)
+        values = trajectory_scaling_trial(
+            family=family,
             sizes=[60, 100],
             portfolio="weak",
             runs_per_graph=2,
             seed=31,
         )
-        serial = trajectory_scaling_trial(engine="serial", **kwargs)
-        ensemble = trajectory_scaling_trial(engine="ensemble", **kwargs)
-        assert ensemble == serial
+        for size in (60, 100):
+            kwargs = dict(
+                family=family, size=size, portfolio="weak",
+                cells=cells, seed=31,
+            )
+            serial = _cells_under("serial", **kwargs)
+            assert _cells_under("ensemble", **kwargs) == serial
+            assert values[str(size)] == _grouped(cells, serial)
 
-    def test_batched_specs_engine_cache_policy(self):
+    def test_batched_specs_carry_no_kernel_params(self):
         from repro.runner import batched_specs
 
         cells = [{"algorithm": "random-walk", "run_index": 0}]
         base = {"family": self.FAMILY, "size": 60, "portfolio": "weak"}
-        default = batched_specs("EX", "m:f", base, cells, [0])
-        assert "engine" not in default[0].params
-        forced = batched_specs(
-            "EX", "m:f", base, cells, [0], engine="ensemble"
-        )
-        assert forced[0].params["engine"] == "ensemble"
-        assert forced[0].key() != default[0].key()
+        specs = batched_specs("EX", "m:f", base, cells, [0])
+        assert specs[0].params == {**base, "cells": cells}
 
 
 class TestEngineValidation:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ExperimentError, match="serial, ensemble"):
-            batched_search_trial(
+            _cells_under(
+                "warp",
                 family={"model": "mori", "p": 0.5, "m": 1},
                 size=40,
                 portfolio="weak",
                 cells=[{"algorithm": "random-walk"}],
-                engine="warp",
                 seed=1,
             )
 
@@ -373,26 +427,27 @@ class TestEngineValidation:
         with pytest.raises(
             EngineUnavailableError, match="use engine='serial'"
         ):
-            batched_search_trial(
+            _cells_under(
+                "ensemble",
                 family={"model": "mori", "p": 0.5, "m": 1},
                 size=40,
                 portfolio="weak",
                 cells=[{"algorithm": "random-walk"}],
-                engine="ensemble",
                 seed=1,
             )
 
-    def test_serial_engine_works_without_numpy(self, monkeypatch):
+    def test_serial_fallback_works_without_numpy(self, monkeypatch):
+        import repro.core.trials as trials_module
         import repro.search.ensemble as ensemble_module
 
         monkeypatch.setattr(ensemble_module, "HAVE_NUMPY", False)
+        monkeypatch.setattr(trials_module, "HAVE_NUMPY", False)
         values = batched_search_trial(
             family={"model": "mori", "p": 0.5, "m": 1},
             size=40,
             portfolio="weak",
             cells=[{"algorithm": "random-walk"}],
             backend="multigraph",
-            engine="serial",
             seed=1,
         )
         assert len(values) == 1

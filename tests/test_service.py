@@ -60,6 +60,23 @@ def client(service):
 GRAPH_ID = f"mori-n{SIZE}-s{SEED}"
 
 
+def _live_session_members(session: int):
+    """Pids of non-zombie processes in ``session`` (read from /proc)."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        # After the command name: state, ppid, pgrp, session, ...
+        if int(fields[3]) == session and fields[0] not in ("Z", "X"):
+            members.append(int(entry))
+    return members
+
+
 class TestServing:
     def test_health_and_catalog(self, client):
         assert client.health()["status"] == "ok"
@@ -294,6 +311,87 @@ class TestLifecycle:
         finally:
             if process.poll() is None:
                 process.kill()
+                process.communicate()
+
+    def test_signal_handlers_installed_before_start(self, monkeypatch):
+        """``repro serve`` must own SIGTERM/SIGINT before the daemon
+        answers anything, and hand them back when it returns."""
+        from repro.cli import main
+
+        seen = []
+
+        def refusing_start(self):
+            seen.append(signal.getsignal(signal.SIGTERM))
+            seen.append(signal.getsignal(signal.SIGINT))
+            raise OSError("bind refused for the test")
+
+        monkeypatch.setattr(SearchService, "start", refusing_start)
+        previous = (
+            signal.getsignal(signal.SIGTERM),
+            signal.getsignal(signal.SIGINT),
+        )
+        assert main(["serve", "--sizes", "40", "--workers", "1"]) == 1
+        assert len(seen) == 2
+        assert seen[0] is seen[1]
+        assert callable(seen[0]) and seen[0] not in previous
+        assert (
+            signal.getsignal(signal.SIGTERM),
+            signal.getsignal(signal.SIGINT),
+        ) == previous
+
+    @pytest.mark.skipif(
+        not (os.path.isdir("/dev/shm") and os.path.isdir("/proc")),
+        reason="needs /dev/shm and /proc to see leftovers",
+    )
+    def test_sigterm_the_moment_port_file_appears(self, tmp_path):
+        """A SIGTERM as soon as the daemon is reachable must still run
+        the teardown: clean exit, no leftover shared segment, and no
+        live process (pool worker) left in the daemon's session."""
+        before = set(os.listdir("/dev/shm"))
+        port_file = tmp_path / "serve.port"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src" + (
+            os.pathsep + env["PYTHONPATH"]
+            if env.get("PYTHONPATH") else ""
+        )
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--sizes", "60", "--seeds", "1,2",
+                "--workers", "2", "--port", "0",
+                "--port-file", str(port_file),
+            ],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not port_file.exists():
+                assert process.poll() is None, process.stderr.read()
+                assert time.monotonic() < deadline, "daemon never bound"
+                time.sleep(0.001)
+            process.send_signal(signal.SIGTERM)
+            _, stderr = process.communicate(timeout=30)
+            assert process.returncode == 0, stderr
+            # The multiprocessing resource tracker leaves shortly after
+            # the daemon; anything still alive after that is orphaned.
+            deadline = time.monotonic() + 10
+            while (
+                _live_session_members(process.pid)
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.05)
+            assert _live_session_members(process.pid) == []
+            assert set(os.listdir("/dev/shm")) - before == set()
+        finally:
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            if process.poll() is None:
                 process.communicate()
 
     @pytest.mark.skipif(
