@@ -3,7 +3,7 @@
 
 PYTEST = PYTHONPATH=src python -m pytest
 
-.PHONY: verify verify-full ci ci-numpy ci-no-numpy ci-smoke bench bench-smoke
+.PHONY: verify verify-full ci ci-numpy ci-no-numpy ci-smoke bench
 
 # Tier-1: the fast suite (pytest.ini excludes `slow`-marked tests).
 verify:
@@ -25,12 +25,13 @@ verify-full:
 # smoke (a live `repro serve` daemon on a small grid answering a
 # concurrent query stream, every answer verified bit-identical to the
 # batch path and every shared-memory segment verified unlinked on
-# shutdown — once with the serving defaults and once pinned to an
+# shutdown — once with the serving defaults, once pinned to an
 # explicit coalescing window with a small batch-max so the batch-max
-# flush path runs), the trial-store smoke (sqlite cold fill, warm
-# replay with identical output and a nonzero hit tally, stat, a
-# verified migration back to json-files) and the store-agnostic
-# tier-1 subset with sqlite as the process default.
+# flush path runs, and once with a zero window, which dispatches
+# without waiting through the same dispatcher), the trial-store smoke
+# (sqlite cold fill, warm replay with identical output and a nonzero
+# hit tally, stat, a verified migration back to json-files) and the
+# store-agnostic tier-1 subset with sqlite as the process default.
 #
 # ci-numpy adds the tier-1 suite, the corpus-cache smoke (cold fill,
 # warm replay with identical output, verify) and the fallback
@@ -76,10 +77,11 @@ ci-no-numpy:
 
 ci-smoke:
 	$(REPRO) list
-	$(REPRO) run E20 --quick --jobs 2 --backend frozen
+	$(REPRO) run E20 --quick --jobs 2
 	$(REPRO) run E21 --quick --churn-rate 0.1 --churn-bias degree --resnapshot-every 5
 	$(REPRO) serve --sizes 120 --seeds 3 --smoke
 	$(REPRO) serve --sizes 120 --seeds 3 --batch-window 5 --batch-max 8 --smoke
+	$(REPRO) serve --sizes 120 --seeds 3 --batch-window 0 --smoke
 	rm -rf .ci-store
 	$(STORE_SMOKE) | tee .ci-store-cold.log
 	grep -q "store: 0 hits" .ci-store-cold.log
@@ -92,21 +94,6 @@ ci-smoke:
 	$(REPRO) store migrate .ci-store --from sqlite --to json-files
 	rm -rf .ci-store .ci-store-cold.log .ci-store-warm.log .ci-store-cold.trimmed .ci-store-warm.trimmed
 	PYTHONPATH=$(SMOKE_PATH) REPRO_STORE_BACKEND=sqlite python -m pytest -x -q tests/test_store_backends.py tests/test_result_store.py tests/test_runner.py tests/test_registry.py
-
-# Bench point: the serving stack under load — the PR 9 per-query
-# path (unbatched dispatch, PR 9 wire behavior) vs the batched
-# coalescing dispatcher (gate >= 3x sustained qps on bit-identical
-# answers, plus a nodelay-only arm so the wire fix and the coalescing
-# win are reported separately), a cache-warm pass (gate: hit-path p50
-# below the pool-dispatch p50), and a non-gating open-loop overload
-# probe recording batch depth and tail latency.  Writes
-# BENCH_PR10.json (pinned by tests/test_bench_schema.py);
-# `PYTHONPATH=src python benchmarks/bench_smoke.py --pr9` regenerates
-# BENCH_PR9.json, `--pr8` BENCH_PR8.json, `--pr7` BENCH_PR7.json,
-# `--pr6` BENCH_PR6.json, `--pr5` BENCH_PR5.json, `--pr4`
-# BENCH_PR4.json, `--pr3` BENCH_PR3.json and `--pr2` BENCH_PR2.json.
-bench-smoke:
-	PYTHONPATH=src python benchmarks/bench_smoke.py
 
 # Paper-scale benchmark harness.  REPRO_BENCH_JOBS fans trials out
 # over worker processes; REPRO_BENCH_CACHE_DIR replays finished trials.

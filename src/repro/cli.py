@@ -26,8 +26,8 @@ the experiment registry (:mod:`repro.core.registry`); every number it
 prints is regenerable from the seed it echoes.
 
 ``repro list`` prints the registry's capability matrix — which of the
-execution axes (``jobs``, ``cache``, ``backend``, ``mode``,
-``store``) each experiment declares; ``--markdown`` emits the same
+execution axes (``jobs``, ``cache``, ``mode``, ``store``) each
+experiment declares; ``--markdown`` emits the same
 index as a markdown table (the README's experiment index is generated
 from it).  ``repro run`` accepts one id, a comma-separated list, or
 ``all``; ``--set key=value`` overrides any declared experiment
@@ -51,16 +51,17 @@ of shared growth trajectories (one construction pass per sweep).
 Graphs build and search cells run on the fastest kernels the
 interpreter has (:func:`repro.core.trials.resolve_kernels`): the
 vectorized generator and the lock-step ensemble engine when numpy
-imports, the serial reference paths otherwise — bit-identical either
-way, so there is no flag for them.  Whether a flag applies is read off
+imports, the serial reference paths otherwise — and searches run on
+frozen CSR snapshots.  All of it is bit-identical to the reference
+paths, so there is no flag for any of it.  Whether a flag applies is read off
 the experiment's *declared capabilities*, not guessed from
 signatures: requesting an axis an experiment does not declare emits a
 warning on stderr instead of silently ignoring it.
 
 ``--corpus-dir`` (equivalently the ``REPRO_CORPUS_DIR`` environment
 variable) points runs at a memory-mapped on-disk corpus of generated
-snapshots (:mod:`repro.graphs.corpus`): independent frozen-backend
-builds are served from the corpus when present and persisted when not,
+snapshots (:mod:`repro.graphs.corpus`): independent snapshot builds
+are served from the corpus when present and persisted when not,
 and the run reports its hit/miss tally afterwards.  ``repro corpus
 build/list/verify`` pre-generates, enumerates and digest-checks corpus
 entries directly.
@@ -144,7 +145,6 @@ _CHURN_FLAG_PARAMS = {
 _CAPABILITY_FLAGS = {
     "jobs": "--jobs",
     "cache": "--cache-dir",
-    "backend": "--backend",
     "mode": "--mode",
     "store": "--store-backend",
 }
@@ -282,17 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument(
-        "--backend",
-        choices=("frozen", "multigraph"),
-        default=None,
-        help=(
-            "graph backend for search trials: 'frozen' snapshots each "
-            "realisation into a read-optimised CSR form (default), "
-            "'multigraph' keeps the mutable object; numbers are "
-            "identical either way"
-        ),
-    )
-    run.add_argument(
         "--mode",
         choices=("independent", "trajectory"),
         default=None,
@@ -352,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--corpus-dir",
         default=None,
         help=(
-            "serve independent frozen-backend graph builds from this "
+            "serve independent graph snapshot builds from this "
             "on-disk snapshot corpus, persisting misses (equivalent "
             "to setting REPRO_CORPUS_DIR; requires numpy, silently "
             "inert without it)"
@@ -482,8 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "query-coalescing window in milliseconds; concurrent "
             "queries for one graph batch into a single worker call "
-            "(0 disables coalescing: one pool call per query; "
-            "default 5)"
+            "(0 dispatches without waiting; default 5)"
         ),
     )
     serve.add_argument(
@@ -687,8 +675,8 @@ def _warn_ignored(
 ) -> None:
     """Tell the user a CLI knob has no effect on this experiment.
 
-    Silently dropping ``--cache-dir`` (or ``--jobs``/``--backend``/
-    ``--mode``/``--set``) would let users believe results
+    Silently dropping ``--cache-dir`` (or ``--jobs``/``--mode``/
+    ``--set``) would let users believe results
     were cached or parallelised when the experiment never declared the
     capability (or parameter).
     """
@@ -713,7 +701,6 @@ def _context_kwargs(spec: ExperimentSpec, args) -> Dict[str, Any]:
     requested = {
         "jobs": args.jobs,
         "cache": args.cache_dir,
-        "backend": args.backend,
         "mode": args.mode,
         "store": args.store_backend,
     }
@@ -1016,7 +1003,7 @@ def _serve_smoke(service, args) -> int:
     """The ``repro serve --smoke`` self-test (the CI serve smoke).
 
     Bursts concurrent queries at the just-started daemon (coalesced
-    through the dispatcher when ``--batch-window`` > 0), replays the
+    through the dispatcher), replays the
     same cells through :func:`repro.core.trials.batched_search_trial`,
     and demands byte-identical answers; re-issues the same burst so
     the answer cache serves it and demands identity again; checks the
@@ -1068,13 +1055,8 @@ def _serve_smoke(service, args) -> int:
             f"/stats saw {snapshot['cache']['hits']} cache hits, "
             f"expected >= {len(queries)} from the warm pass"
         )
-    if (
-        service.batch_window > 0
-        and snapshot["batches"]["count"] == 0
-    ):
-        stats_problems.append(
-            "coalescing enabled but /stats saw zero batches"
-        )
+    if snapshot["batches"]["count"] == 0:
+        stats_problems.append("/stats saw zero batches")
     by_graph: Dict[str, List[int]] = {}
     for index, query in enumerate(queries):
         by_graph.setdefault(query["graph"], []).append(index)
@@ -1214,16 +1196,12 @@ def _serve_main(args) -> int:
                     handle.write(f"{service.port}\n")
             if args.smoke:
                 return _serve_smoke(service, args)
-            coalescing = (
-                f"batch {service.batch_window * 1000:.0f}ms/"
-                f"{service.batch_max} [{service.engine}]"
-                if service.batch_window > 0
-                else "per-query dispatch"
-            )
             print(
                 f"serving {len(service.entries)} graphs "
                 f"({args.portfolio} portfolio, {args.workers} workers, "
-                f"{coalescing}, cache {service.cache.capacity}) "
+                f"batch {service.batch_window * 1000:.0f}ms/"
+                f"{service.batch_max} [{service.engine}], "
+                f"cache {service.cache.capacity}) "
                 f"at {service.address}",
                 flush=True,
             )

@@ -7,7 +7,7 @@
 * :mod:`repro.core.registry` — the declarative experiment registry:
   typed param schemas, capability declarations, and the
   :class:`~repro.core.registry.ExecutionContext` carrying the resolved
-  jobs/store/backend/mode axes once per run;
+  jobs/store/mode axes once per run;
 * :mod:`repro.core.experiments` — the registered experiments E1–E20
   that regenerate every table/figure of the reproduction (plus their
   thin public wrappers);

@@ -10,13 +10,13 @@ exposes size overrides for larger runs.
 Experiments are *registered specs* (:mod:`repro.core.registry`): each
 body declares its typed parameter schema and the execution
 capabilities it supports — ``jobs`` (worker fan-out), ``cache``
-(persistent trial store), ``backend`` (frozen CSR vs mutable
-multigraph), ``mode`` (independent vs trajectory-coupled scaling
-sweeps), ``store`` (trial-store layout) — and receives one
+(persistent trial store), ``mode`` (independent vs trajectory-coupled
+scaling sweeps), ``store`` (trial-store layout) — and receives one
 :class:`~repro.core.registry.ExecutionContext` instead of five
-copy-pasted kwargs.  The search engine and graph generator are not
-axes: the trial layer picks the fastest bit-identical kernels
-(:func:`repro.core.trials.resolve_kernels`).  The public
+copy-pasted kwargs.  The search engine, graph generator and graph form
+are not axes: the trial layer picks the fastest bit-identical kernels
+(:func:`repro.core.trials.resolve_kernels`) and searches frozen CSR
+snapshots.  The public
 ``e1_mori_weak(...)``-style wrappers below are thin registry delegates
 with the historical signatures, so every pin in
 ``tests/test_experiment_regression.py`` (and every downstream caller)
@@ -73,7 +73,6 @@ from repro.core.trials import (
     family_spec,
     result_from_dict,
     simulation_slowdown_trial,
-    snapshot_graph,
     trajectory_slowdown_trial,
 )
 from repro.runner import (
@@ -100,6 +99,7 @@ from repro.equivalence.lower_bound import (
 from repro.graphs.barabasi_albert import barabasi_albert_graph
 from repro.graphs.churn import CHURN_BIASES
 from repro.graphs.cooper_frieze import CooperFriezeParams
+from repro.graphs.frozen import freeze
 from repro.graphs.kleinberg import kleinberg_grid
 from repro.graphs.mori import mori_tree
 from repro.rng import make_rng, substream
@@ -189,7 +189,7 @@ def _exponent_table(measurement, algorithms: Sequence[str]) -> Table:
 @REGISTRY.register(
     "E1",
     title="Weak-model search cost on merged Mori graphs (Theorem 1)",
-    capabilities=("jobs", "cache", "backend", "store"),
+    capabilities=("jobs", "cache", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("p", FLOAT, 0.5),
@@ -258,7 +258,6 @@ def e1_mori_weak(
     seed: int = 1,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    backend: str = "frozen",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E1: every weak-model algorithm respects the Ω(√n) floor on Móri graphs.
@@ -277,7 +276,6 @@ def e1_mori_weak(
         seed=seed,
         jobs=jobs,
         cache_dir=cache_dir,
-        backend=backend,
         store_backend=store_backend,
     )
 
@@ -290,7 +288,7 @@ def e1_mori_weak(
 @REGISTRY.register(
     "E2",
     title="Strong-model search cost on Mori graphs (Theorem 1, p<1/2)",
-    capabilities=("jobs", "cache", "backend", "store"),
+    capabilities=("jobs", "cache", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("p", FLOAT, 0.25),
@@ -362,7 +360,6 @@ def e2_mori_strong(
     seed: int = 2,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    backend: str = "frozen",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E2: strong-model algorithms respect Ω(n^{1/2-p-eps}) for p < 1/2."""
@@ -377,7 +374,6 @@ def e2_mori_strong(
         seed=seed,
         jobs=jobs,
         cache_dir=cache_dir,
-        backend=backend,
         store_backend=store_backend,
     )
 
@@ -390,7 +386,7 @@ def e2_mori_strong(
 @REGISTRY.register(
     "E3",
     title="Weak-model search cost on Cooper-Frieze graphs (Theorem 2)",
-    capabilities=("jobs", "cache", "backend", "store"),
+    capabilities=("jobs", "cache", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("alpha", FLOAT, 0.75),
@@ -454,7 +450,6 @@ def e3_cooper_frieze(
     seed: int = 3,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    backend: str = "frozen",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E3: the Ω(√n) floor holds in the Cooper–Frieze model (Theorem 2)."""
@@ -467,7 +462,6 @@ def e3_cooper_frieze(
         seed=seed,
         jobs=jobs,
         cache_dir=cache_dir,
-        backend=backend,
         store_backend=store_backend,
     )
 
@@ -645,7 +639,7 @@ def _geometric_checkpoints(first: int, last: int) -> list:
 @REGISTRY.register(
     "E6",
     title="Degree distributions: scale-free models vs Kleinberg lattice",
-    capabilities=("jobs", "cache", "backend", "store"),
+    capabilities=("jobs", "cache", "store"),
     params=(
         Param("n", INT, 20000),
         Param("seed", INT, 6),
@@ -688,14 +682,11 @@ def _e6_body(ctx, *, n, seed):
         ),
     ]
     reference = trial_ref(degree_fit_trial)
-    # The default backend stays out of params so cache keys (and hence
-    # pre-snapshot caches) are unchanged; values are backend-independent.
-    extra = ctx.trial_params_extra()
     specs = [
         TrialSpec(
             experiment_id="E6",
             trial=reference,
-            params={"family": spec, "n": n, **extra},
+            params={"family": spec, "n": n},
             seed=substream(seed, index),
         )
         for index, (_, spec) in enumerate(specimens)
@@ -727,7 +718,6 @@ def e6_degree_distribution(
     seed: int = 6,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    backend: str = "frozen",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E6: evolving models are power-law; Kleinberg's lattice is not."""
@@ -737,7 +727,6 @@ def e6_degree_distribution(
         seed=seed,
         jobs=jobs,
         cache_dir=cache_dir,
-        backend=backend,
         store_backend=store_backend,
     )
 
@@ -750,7 +739,7 @@ def e6_degree_distribution(
 @REGISTRY.register(
     "E7",
     title="Adamic et al. search on power-law configuration graphs",
-    capabilities=("jobs", "cache", "backend", "store"),
+    capabilities=("jobs", "cache", "store"),
     params=(
         Param("sizes", INT_TUPLE, (400, 800, 1600, 3200)),
         Param("exponent", FLOAT, 2.5),
@@ -848,7 +837,6 @@ def e7_adamic(
     seed: int = 7,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    backend: str = "frozen",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E7: high-degree search beats the random walk on power-law graphs.
@@ -871,7 +859,6 @@ def e7_adamic(
         seed=seed,
         jobs=jobs,
         cache_dir=cache_dir,
-        backend=backend,
         store_backend=store_backend,
     )
 
@@ -884,8 +871,7 @@ def e7_adamic(
 @REGISTRY.register(
     "E8",
     title="Greedy routing on Kleinberg small-worlds (navigable contrast)",
-    # Audited for the backend axis and excluded on purpose:
-    # greedy routing navigates by lattice *coordinates* on the
+    # Greedy routing navigates by lattice *coordinates* on the
     # KleinbergGrid wrapper (not through the oracle machinery), so
     # neither a CSR snapshot nor the ensemble kernel has anything to
     # act on.
@@ -960,7 +946,7 @@ def e8_kleinberg(
 @REGISTRY.register(
     "E9",
     title="Diameter vs search cost on merged Mori graphs",
-    capabilities=("jobs", "cache", "backend", "store"),
+    capabilities=("jobs", "cache", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("p", FLOAT, 0.5),
@@ -1044,12 +1030,11 @@ def e9_diameter_vs_search(
     seed: int = 9,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    backend: str = "frozen",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E9: O(log n) diameter yet polynomial search cost (the headline).
 
-    The search cells honour ``backend`` like every other
+    The search cells run on frozen snapshots like every other
     search-running experiment; the diameter estimate walks
     the freshly built graph directly (it is BFS-bound either way).
     """
@@ -1062,7 +1047,6 @@ def e9_diameter_vs_search(
         seed=seed,
         jobs=jobs,
         cache_dir=cache_dir,
-        backend=backend,
         store_backend=store_backend,
     )
 
@@ -1136,7 +1120,7 @@ def e10_equivalence_exact(
 @REGISTRY.register(
     "E11",
     title="Lemma 1 floor vs measured costs; tightness via omniscient",
-    capabilities=("jobs", "cache", "backend", "store"),
+    capabilities=("jobs", "cache", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("p", FLOAT, 0.5),
@@ -1204,7 +1188,6 @@ def e11_lemma1_floor(
     seed: int = 11,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    backend: str = "frozen",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E11: measured costs sit above the Lemma-1 floor; omniscient ~ Θ(√n)."""
@@ -1217,7 +1200,6 @@ def e11_lemma1_floor(
         seed=seed,
         jobs=jobs,
         cache_dir=cache_dir,
-        backend=backend,
         store_backend=store_backend,
     )
 
@@ -1230,10 +1212,8 @@ def e11_lemma1_floor(
 @REGISTRY.register(
     "E12",
     title="Percolation search with content replication",
-    # Audited: the query cascade reads the graph through the same
-    # neighbor/edge API the searches use, so the backend axis applies
-    # (one snapshot serves every query).
-    capabilities=("backend",),
+    # The query cascade reads the graph through the same neighbor/edge
+    # API the searches use, so one frozen snapshot serves every query.
     params=(
         Param("n", INT, 4000),
         Param("exponent", FLOAT, 2.3),
@@ -1254,9 +1234,7 @@ def _e12_body(
     seed,
 ):
     family = ConfigurationFamily(exponent=exponent, min_degree=2)
-    graph = snapshot_graph(
-        family.build(n, seed=substream(seed, 0)), ctx.backend
-    )
+    graph = freeze(family.build(n, seed=substream(seed, 0)))
     rng = make_rng(substream(seed, 1))
 
     result = ExperimentResult(
@@ -1330,7 +1308,6 @@ def e12_percolation(
     broadcast_probability: float = 0.25,
     num_queries: int = 30,
     seed: int = 12,
-    backend: str = "frozen",
 ) -> ExperimentResult:
     """E12: replication turns broadcast search sublinear (Sarshar et al.)."""
     return run_experiment(
@@ -1341,7 +1318,6 @@ def e12_percolation(
         broadcast_probability=broadcast_probability,
         num_queries=num_queries,
         seed=seed,
-        backend=backend,
     )
 
 
@@ -1353,7 +1329,7 @@ def e12_percolation(
 @REGISTRY.register(
     "E13",
     title="Ablation: attachment mixture p vs searchability",
-    capabilities=("jobs", "cache", "backend", "store"),
+    capabilities=("jobs", "cache", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800)),
         Param("p_values", FLOAT_TUPLE, (0.0, 0.25, 0.5, 0.75, 1.0)),
@@ -1412,7 +1388,6 @@ def e13_ablation_p(
     seed: int = 13,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    backend: str = "frozen",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E13: the √n floor is insensitive to the attachment mixture p."""
@@ -1424,7 +1399,6 @@ def e13_ablation_p(
         seed=seed,
         jobs=jobs,
         cache_dir=cache_dir,
-        backend=backend,
         store_backend=store_backend,
     )
 
@@ -1432,7 +1406,7 @@ def e13_ablation_p(
 @REGISTRY.register(
     "E14",
     title="Ablation: merge arity m vs searchability",
-    capabilities=("jobs", "cache", "backend", "store"),
+    capabilities=("jobs", "cache", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800)),
         Param("m_values", INT_TUPLE, (1, 2, 4, 8)),
@@ -1490,7 +1464,6 @@ def e14_ablation_m(
     seed: int = 14,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    backend: str = "frozen",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E14: the √n floor holds for every merge arity m (Theorem 1)."""
@@ -1503,7 +1476,6 @@ def e14_ablation_m(
         seed=seed,
         jobs=jobs,
         cache_dir=cache_dir,
-        backend=backend,
         store_backend=store_backend,
     )
 
@@ -1710,7 +1682,7 @@ def e16_neighbor_dependence(
 @REGISTRY.register(
     "E17",
     title="Strong-to-weak simulation slowdown (Theorem 1, strong case)",
-    capabilities=("jobs", "cache", "backend", "mode", "store"),
+    capabilities=("jobs", "cache", "mode", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("p", FLOAT, 0.25),
@@ -1743,15 +1715,13 @@ def _e17_body(ctx, *, sizes, p, num_graphs, seed):
         ),
     )
     spec = family_spec(family)
-    # As in E6: only a forced non-default backend enters the cache key.
-    extra = ctx.trial_params_extra()
     if mode == "trajectory":
         from repro.core.searchability import trajectory_seeds
 
         specs = trajectory_specs(
             "E17",
             trial_ref(trajectory_slowdown_trial),
-            {"family": spec, **extra},
+            {"family": spec},
             sizes,
             trajectory_seeds(seed, num_graphs),
         )
@@ -1764,7 +1734,7 @@ def _e17_body(ctx, *, sizes, p, num_graphs, seed):
             TrialSpec(
                 experiment_id="E17",
                 trial=reference,
-                params={"family": spec, "size": size, **extra},
+                params={"family": spec, "size": size},
                 seed=substream(substream(seed, index), rep),
             )
             for index, size in enumerate(sizes)
@@ -1824,7 +1794,6 @@ def e17_simulation_slowdown(
     seed: int = 17,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    backend: str = "frozen",
     mode: str = "independent",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
@@ -1860,7 +1829,6 @@ def e17_simulation_slowdown(
         seed=seed,
         jobs=jobs,
         cache_dir=cache_dir,
-        backend=backend,
         mode=mode,
         store_backend=store_backend,
     )
@@ -1874,7 +1842,7 @@ def e17_simulation_slowdown(
 @REGISTRY.register(
     "E18",
     title="Ablation: start-vertex rule vs searchability",
-    capabilities=("jobs", "cache", "backend", "mode", "store"),
+    capabilities=("jobs", "cache", "mode", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800, 1600)),
         Param("p", FLOAT, 0.5),
@@ -1940,7 +1908,6 @@ def e18_start_rule(
     seed: int = 18,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    backend: str = "frozen",
     mode: str = "independent",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
@@ -1966,7 +1933,6 @@ def e18_start_rule(
         seed=seed,
         jobs=jobs,
         cache_dir=cache_dir,
-        backend=backend,
         mode=mode,
         store_backend=store_backend,
     )
@@ -1983,7 +1949,6 @@ def e18_start_rule(
     capabilities=(
         "jobs",
         "cache",
-        "backend",
         ("mode", "trajectory"),
         "store",
     ),
@@ -2101,7 +2066,6 @@ def e19_trajectory_scaling(
     seed: int = 19,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    backend: str = "frozen",
     mode: str = "trajectory",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
@@ -2136,7 +2100,6 @@ def e19_trajectory_scaling(
         seed=seed,
         jobs=jobs,
         cache_dir=cache_dir,
-        backend=backend,
         mode=mode,
         store_backend=store_backend,
     )
@@ -2150,7 +2113,7 @@ def e19_trajectory_scaling(
 @REGISTRY.register(
     "E20",
     title="Cross-model search-cost grid (weak + strong portfolios)",
-    capabilities=("jobs", "cache", "backend", "store"),
+    capabilities=("jobs", "cache", "store"),
     params=(
         Param("sizes", INT_TUPLE, (200, 400, 800)),
         Param("p", FLOAT, 0.5),
@@ -2273,7 +2236,6 @@ def e20_cross_model(
     seed: int = 20,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    backend: str = "frozen",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E20: one harness, three models, both knowledge models.
@@ -2282,8 +2244,8 @@ def e20_cross_model(
     Móri merged graphs vs Cooper–Frieze vs the configuration-model
     giant component at matched size and degree scale — swept by both
     the weak and the strong portfolio on one pipeline.  The experiment
-    is a *pure spec*: it exercises ``jobs``/``cache``/``backend``/
-    ``store`` through nothing but its capability declaration, with no
+    is a *pure spec*: it exercises ``jobs``/``cache``/``store``
+    through nothing but its capability declaration, with no
     experiment-specific CLI code.
 
     Headline shape: the cheapest fitted exponent stays bounded away
@@ -2303,7 +2265,6 @@ def e20_cross_model(
         seed=seed,
         jobs=jobs,
         cache_dir=cache_dir,
-        backend=backend,
         store_backend=store_backend,
     )
 
@@ -2316,7 +2277,7 @@ def e20_cross_model(
 @REGISTRY.register(
     "E21",
     title="Search cost vs churn rate (weak + strong portfolios)",
-    capabilities=("jobs", "cache", "backend", "store"),
+    capabilities=("jobs", "cache", "store"),
     params=(
         Param("size", INT, 400),
         Param("p", FLOAT, 0.5),
@@ -2370,7 +2331,6 @@ def _e21_body(
         ),
     )
     reference = trial_ref(churn_search_trial)
-    extra = ctx.trial_params_extra()
     grid = [
         (portfolio, rate)
         for portfolio in ("weak", "strong")
@@ -2386,7 +2346,6 @@ def _e21_body(
             "churn_rate": rate,
             "churn_bias": churn_bias,
             "runs_per_graph": runs_per_graph,
-            **extra,
         }
         if resnapshot_every:
             params["resnapshot_every"] = resnapshot_every
@@ -2453,7 +2412,6 @@ def e21_churn_search(
     seed: int = 21,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    backend: str = "frozen",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E21: does non-searchability survive live churn?
@@ -2486,7 +2444,6 @@ def e21_churn_search(
         seed=seed,
         jobs=jobs,
         cache_dir=cache_dir,
-        backend=backend,
         store_backend=store_backend,
     )
 
@@ -2499,7 +2456,7 @@ def e21_churn_search(
 @REGISTRY.register(
     "E22",
     title="Giant-component survival under decay",
-    capabilities=("jobs", "cache", "backend", "store"),
+    capabilities=("jobs", "cache", "store"),
     params=(
         Param("size", INT, 600),
         Param("p", FLOAT, 0.5),
@@ -2543,7 +2500,6 @@ def _e22_body(
         ),
     )
     reference = trial_ref(churn_survival_trial)
-    extra = ctx.trial_params_extra()
     specs = []
     for bias_index, bias in enumerate(CHURN_BIASES):
         cell_seed = substream(seed, bias_index)
@@ -2552,7 +2508,6 @@ def _e22_body(
             "size": size,
             "remove_fractions": list(remove_fractions),
             "churn_bias": bias,
-            **extra,
         }
         if resnapshot_every:
             params["resnapshot_every"] = resnapshot_every
@@ -2617,7 +2572,6 @@ def e22_giant_survival(
     seed: int = 22,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    backend: str = "frozen",
     store_backend: Optional[str] = None,
 ) -> ExperimentResult:
     """E22: how fast does the searchable substrate itself dissolve?
@@ -2639,7 +2593,6 @@ def e22_giant_survival(
         seed=seed,
         jobs=jobs,
         cache_dir=cache_dir,
-        backend=backend,
         store_backend=store_backend,
     )
 

@@ -2,7 +2,7 @@
 
 Before this module, every experiment function re-declared and
 re-plumbed the same execution axes by hand — ``jobs``, ``cache_dir``,
-``backend``, ``mode`` — and the CLI re-discovered them per
+``mode`` — and the CLI re-discovered them per
 function with ``inspect.signature`` plus bespoke warning branches.
 Adding an axis meant signature surgery on a dozen functions; adding an
 experiment meant copying the whole kwargs trellis.
@@ -15,9 +15,8 @@ The registry replaces that with three declarative pieces:
   overrides for free.
 * :class:`ExperimentSpec` — one experiment: id, title, its param
   schema, and the **capabilities** it declares from
-  :data:`CAPABILITIES` (``jobs``, ``cache``, ``backend``, ``mode``,
-  ``store``).  Capabilities are data, not signatures:
-  the CLI derives
+  :data:`CAPABILITIES` (``jobs``, ``cache``, ``mode``, ``store``).
+  Capabilities are data, not signatures: the CLI derives
   its capability matrix and its "flag has no effect" warnings from
   them, and a new axis lands in exactly one place.
 * :class:`ExecutionContext` — the resolved execution axes carried
@@ -80,7 +79,7 @@ __all__ = [
 
 #: The execution axes an experiment may declare, in canonical order
 #: (also the order their keyword parameters appear in public wrappers).
-CAPABILITIES = ("jobs", "cache", "backend", "mode", "store")
+CAPABILITIES = ("jobs", "cache", "mode", "store")
 
 #: Capability -> (public keyword parameter, default value).  ``cache``
 #: surfaces as ``cache_dir`` because the public unit is a directory;
@@ -90,11 +89,11 @@ CAPABILITIES = ("jobs", "cache", "backend", "mode", "store")
 #: ``json-files``) so a whole run — or a whole CI leg — can be
 #: switched without threading the choice through every call.  The
 #: search engine and graph generator are not axes: the trial layer
-#: picks them (:func:`repro.core.trials.resolve_kernels`).
+#: picks them (:func:`repro.core.trials.resolve_kernels`).  Nor is the
+#: graph form: searches always run on a frozen CSR snapshot.
 CAPABILITY_PARAMS = {
     "jobs": ("jobs", 1),
     "cache": ("cache_dir", None),
-    "backend": ("backend", "frozen"),
     "mode": ("mode", "independent"),
     "store": ("store_backend", None),
 }
@@ -160,7 +159,7 @@ class Param:
 class ExecutionContext:
     """The resolved execution axes of one experiment run.
 
-    Carries ``jobs``/``store``/``backend``/``mode`` (and the owning
+    Carries ``jobs``/``store``/``mode`` (and the owning
     ``experiment_id``) exactly once, resolved from the declared
     capability defaults plus any caller overrides.  Experiment bodies
     dispatch through the helper methods instead of re-plumbing the
@@ -171,7 +170,6 @@ class ExecutionContext:
     experiment_id: str = "adhoc"
     jobs: int = 1
     store: Optional[TrialStore] = None
-    backend: str = "frozen"
     mode: str = "independent"
     store_backend: Optional[str] = None
 
@@ -180,25 +178,11 @@ class ExecutionContext:
         worker fan-out and result store."""
         return run_trials(specs, jobs=self.jobs, store=self.store)
 
-    def trial_params_extra(self) -> Dict[str, Any]:
-        """The non-default backend trial-param entry.
-
-        The backend cache-key policy (the default stays out of trial
-        params so pre-existing cache entries keep replaying; only a
-        forced non-default choice gets its own entries) spelled once.
-        ``store_backend`` never enters: where a value is stored cannot
-        change what the value is.
-        """
-        extra: Dict[str, Any] = {}
-        if self.backend != "frozen":
-            extra["backend"] = self.backend
-        return extra
-
     def measure_scaling(self, family, sizes, factories, **kwargs):
         """A size sweep through this context's execution axes.
 
         Delegates to :func:`repro.core.searchability.measure_scaling`
-        with ``jobs``/``store``/``backend``/``mode`` and the
+        with ``jobs``/``store``/``mode`` and the
         experiment id filled in from the context (callers may still
         override ``mode`` explicitly, as E19 does to pin its subject).
         """
@@ -212,7 +196,6 @@ class ExecutionContext:
             jobs=self.jobs,
             store=self.store,
             experiment_id=self.experiment_id,
-            backend=self.backend,
             **kwargs,
         )
 
@@ -227,7 +210,6 @@ class ExecutionContext:
             jobs=self.jobs,
             store=self.store,
             experiment_id=self.experiment_id,
-            backend=self.backend,
             **kwargs,
         )
 
@@ -261,17 +243,9 @@ def _validated_context_values(
 
 
 def _validate_axis_values(resolved: Dict[str, Any]) -> None:
-    """Check backend/mode/store/jobs values against their axis
-    vocabularies."""
+    """Check mode/store/jobs values against their axis vocabularies."""
     from repro.core.searchability import MODES
-    from repro.core.trials import BACKENDS
 
-    backend = resolved.get("backend")
-    if backend is not None and backend not in BACKENDS:
-        raise ExperimentError(
-            f"unknown graph backend {backend!r}; valid: "
-            f"{', '.join(BACKENDS)}"
-        )
     mode = resolved.get("mode")
     if mode is not None and mode not in MODES:
         raise ExperimentError(
@@ -331,7 +305,6 @@ class ExperimentSpec:
         self,
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        backend: Optional[str] = None,
         mode: Optional[str] = None,
         store_backend: Optional[str] = None,
     ) -> ExecutionContext:
@@ -347,7 +320,6 @@ class ExperimentSpec:
             {
                 "jobs": jobs,
                 "cache": cache_dir,
-                "backend": backend,
                 "mode": mode,
                 "store": store_backend,
             },
@@ -360,9 +332,8 @@ class ExperimentSpec:
             kwargs["store"] = store_for(
                 resolved["cache"], resolved.get("store")
             )
-        for axis in ("backend", "mode"):
-            if axis in resolved:
-                kwargs[axis] = resolved[axis]
+        if "mode" in resolved:
+            kwargs["mode"] = resolved["mode"]
         if "store" in resolved:
             kwargs["store_backend"] = resolved["store"]
         return ExecutionContext(**kwargs)
@@ -383,7 +354,6 @@ class ExperimentSpec:
         *,
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        backend: Optional[str] = None,
         mode: Optional[str] = None,
         store_backend: Optional[str] = None,
     ):
@@ -392,7 +362,6 @@ class ExperimentSpec:
         context = self.make_context(
             jobs=jobs,
             cache_dir=cache_dir,
-            backend=backend,
             mode=mode,
             store_backend=store_backend,
         )
@@ -556,7 +525,7 @@ def run_experiment(experiment_id: str, **kwargs):
     The convenience entry the public ``e<n>_...`` wrappers delegate
     through: ``kwargs`` may mix declared experiment parameters with
     the capability parameters the spec declares (``jobs``,
-    ``cache_dir``, ``backend``, ``mode``, ``store_backend``); they are
+    ``cache_dir``, ``mode``, ``store_backend``); they are
     split per the spec and dispatched via :meth:`ExperimentSpec.run`.
     """
     spec = REGISTRY.get(experiment_id)

@@ -13,13 +13,13 @@ Graph families and algorithm portfolios cross process boundaries by
 *name*: :func:`family_spec` / :func:`build_family` serialize the former,
 :func:`portfolio_factories` resolves the latter.
 
-Search trials take a ``backend`` parameter: after the evolving
-construction finishes, ``"frozen"`` (the default) snapshots the graph
-into a :class:`~repro.graphs.frozen.FrozenGraph` so the whole batch of
-search cells runs on the read-optimised CSR form, while
-``"multigraph"`` keeps the mutable object.  The choice affects
-wall-clock time only — every number is backend-independent
-(``tests/test_frozen_graph.py`` and the regression pins enforce it).
+Search trials run on a :class:`~repro.graphs.frozen.FrozenGraph`:
+after the evolving construction finishes, the graph is snapshotted so
+the whole batch of search cells runs on the read-optimised CSR form
+(numpy-backed, or stdlib ``array`` without numpy).  Every number is the
+one the mutable :class:`~repro.graphs.base.MultiGraph` gives
+(``tests/test_frozen_graph.py`` and the regression pins enforce it), so
+the snapshot is not a trial parameter.
 :func:`batched_search_trial` is the general form: one generated graph
 serves an explicit batch of (algorithm, start, target, run) cells, each
 with the same substream-derived run seed the serial loops used.
@@ -55,7 +55,7 @@ from repro.graphs.base import MultiGraph
 from repro.graphs.churn import CHURN_BIASES, ChurnProcess
 from repro.graphs.components import connected_components
 from repro.graphs.delta import DeltaGraph
-from repro.graphs.frozen import HAVE_NUMPY, GraphBackend, freeze
+from repro.graphs.frozen import HAVE_NUMPY, FrozenGraph, GraphBackend, freeze
 from repro.graphs.cooper_frieze import CooperFriezeParams
 from repro.graphs.kleinberg import kleinberg_grid
 from repro.rng import make_rng, run_substream, substream
@@ -82,7 +82,6 @@ __all__ = [
     "strong_factories",
     "portfolio_factories",
     "choose_start",
-    "snapshot_graph",
     "build_graph_snapshot",
     "Kernels",
     "resolve_kernels",
@@ -98,9 +97,6 @@ __all__ = [
     "result_to_dict",
     "result_from_dict",
 ]
-
-#: Valid values of the ``backend`` trial parameter.
-BACKENDS = ("frozen", "multigraph")
 
 #: Search-cell execution engines.  ``"serial"`` steps every search
 #: cell through the oracle machinery one run at a time; ``"ensemble"``
@@ -146,64 +142,28 @@ def resolve_kernels() -> Kernels:
     return Kernels(engine="serial", generator="serial")
 
 
-def snapshot_graph(graph: MultiGraph, backend: str) -> GraphBackend:
-    """Apply a backend choice to a freshly built graph.
-
-    ``"frozen"`` returns an immutable CSR snapshot (the read-optimised
-    default); ``"multigraph"`` returns the graph unchanged.  Numbers
-    never depend on the choice — only wall-clock time does.
-    """
-    if backend == "frozen":
-        return freeze(graph)
-    if backend == "multigraph":
-        return graph
-    raise ExperimentError(
-        f"unknown graph backend {backend!r}; valid: "
-        f"{', '.join(BACKENDS)}"
-    )
-
-
-def trajectory_snapshots(
-    graph: GraphBackend,
-    marks: Dict[int, int],
-    sizes,
-    backend: str,
-):
+def trajectory_snapshots(graph: GraphBackend, marks: Dict[int, int], sizes):
     """Per-checkpoint snapshots of one evolved realisation.
 
     ``graph``/``marks`` come from
     :meth:`~repro.core.families.GraphFamily.build_trajectory` (either
-    backend: the vectorized generator hands over a
+    form: the vectorized generator hands over a
     :class:`~repro.graphs.frozen.FrozenGraph` directly).  Returns a
     list of ``(size, snapshot)`` in ascending size order; each snapshot
-    is bit-identical to what :func:`snapshot_graph` would return for an
-    independent same-seed build of that size.  On the ``"frozen"``
-    backend the whole grid shares one full CSR freeze, each checkpoint
+    is bit-identical to the frozen independent same-seed build of that
+    size.  The whole grid shares one full CSR freeze, each checkpoint
     being a buffer-reusing prefix slice of it.
     """
-    ordered = sorted(set(sizes))
-    if backend == "frozen":
-        full = freeze(graph)
-        return [(n, full.prefix(n, marks[n])) for n in ordered]
-    if backend == "multigraph":
-        from repro.graphs.frozen import FrozenGraph
-
-        if isinstance(graph, FrozenGraph):
-            graph = graph.thaw()
-        return [(n, graph.prefix(n, marks[n])) for n in ordered]
-    raise ExperimentError(
-        f"unknown graph backend {backend!r}; valid: "
-        f"{', '.join(BACKENDS)}"
-    )
+    full = freeze(graph)
+    return [(n, full.prefix(n, marks[n])) for n in sorted(set(sizes))]
 
 
 def build_graph_snapshot(
     family_obj: GraphFamily,
     size: int,
     seed: int,
-    backend: str = "frozen",
-) -> GraphBackend:
-    """Build one family instance and snapshot it per ``backend``.
+) -> FrozenGraph:
+    """Build one family instance as a frozen snapshot.
 
     The one place independent-build trials obtain their graph, so the
     generator choice and the on-disk corpus compose uniformly:
@@ -212,16 +172,14 @@ def build_graph_snapshot(
       graph builds through
       :meth:`~repro.core.families.GraphFamily.build_frozen` (the
       fastgen kernels where the family has one — bit-identical to the
-      serial builder), then thaws if ``backend="multigraph"`` asks for
-      the mutable form.
+      serial builder); the serial builder's graph is frozen.
     * When ``REPRO_CORPUS_DIR`` names a corpus (see
-      :func:`repro.graphs.corpus.active_corpus`), the backend is
-      ``"frozen"`` and the family builds exact-size graphs (the
-      configuration family's giant component does not), the snapshot
-      is served from / persisted to the memory-mapped store keyed by
-      ``(family spec, n, seed)``.  The stored bytes are
-      generator-independent — the determinism contract makes both
-      generators build the same graph.
+      :func:`repro.graphs.corpus.active_corpus`) and the family builds
+      exact-size graphs (the configuration family's giant component
+      does not), the snapshot is served from / persisted to the
+      memory-mapped store keyed by ``(family spec, n, seed)``.  The
+      stored bytes are generator-independent — the determinism
+      contract makes both generators build the same graph.
 
     Numbers never depend on any of this — only wall-clock time.
     """
@@ -234,7 +192,7 @@ def build_graph_snapshot(
             )
         return family_obj.build(size, seed=seed)
 
-    if backend == "frozen" and family_obj.exact_size:
+    if family_obj.exact_size:
         from repro.graphs.corpus import active_corpus
 
         corpus = active_corpus()
@@ -247,13 +205,7 @@ def build_graph_snapshot(
                 return corpus.get_or_build(
                     spec, size, seed, _build, generator=generator
                 )
-    built = _build()
-    if backend == "multigraph":
-        from repro.graphs.frozen import FrozenGraph
-
-        if isinstance(built, FrozenGraph):
-            return built.thaw()
-    return snapshot_graph(built, backend)
+    return freeze(_build())
 
 
 # ----------------------------------------------------------------------
@@ -530,11 +482,11 @@ def _execute_cells(
 
         require_ensemble_engine()
         # One shared snapshot for every walk-family group (a no-op on
-        # the frozen backend); run_ensemble would otherwise re-freeze
-        # a multigraph-backend graph once per group.  A DeltaGraph
-        # overlay passes through unfrozen — the kernel runs on its
-        # masked-CSR view so edge ids (and hence traces) match the
-        # serial path on the same overlay.
+        # a FrozenGraph); run_ensemble would otherwise re-freeze a
+        # MultiGraph once per group.  A DeltaGraph overlay passes
+        # through unfrozen — the kernel runs on its masked-CSR view so
+        # edge ids (and hence traces) match the serial path on the
+        # same overlay.
         if not isinstance(graph, DeltaGraph):
             ensemble_graph = freeze(graph)
     instance_budget = (
@@ -611,7 +563,6 @@ def search_cost_graph_trial(
     budget: Optional[int] = None,
     neighbor_success: bool = False,
     start_rule: str = "default",
-    backend: str = "frozen",
     seed: int = 0,
 ) -> Dict[str, List[Dict[str, Any]]]:
     """One graph realisation searched by a whole portfolio.
@@ -619,17 +570,15 @@ def search_cost_graph_trial(
     ``seed`` is the graph substream seed (what ``measure_search_cost``
     derives as ``substream(seed, graph_index)``); all run seeds fan out
     from it exactly as in the original serial loop, so the decomposed
-    grid is draw-for-draw identical to the monolithic one.  ``backend``
-    selects the graph form the searches run on (see
-    :func:`snapshot_graph`); the construction and cell kernels are
-    :func:`resolve_kernels`'s.  Both change wall-clock time, never
-    numbers.
+    grid is draw-for-draw identical to the monolithic one.  The
+    searches run on the frozen snapshot :func:`build_graph_snapshot`
+    returns; the construction and cell kernels are
+    :func:`resolve_kernels`'s.  Neither changes a number, only
+    wall-clock time.
     """
     family_obj = build_family(family)
     factories = portfolio_factories(portfolio)
-    graph = build_graph_snapshot(
-        family_obj, size, seed, backend
-    )
+    graph = build_graph_snapshot(family_obj, size, seed)
     target = family_obj.theorem_target(graph)
     start = choose_start(family_obj, graph, target, start_rule, seed)
     cells = [
@@ -662,16 +611,15 @@ def batched_search_trial(
     budget: Optional[int] = None,
     neighbor_success: bool = False,
     start_rule: str = "default",
-    backend: str = "frozen",
     seed: int = 0,
 ) -> List[Dict[str, Any]]:
     """One generated graph snapshot serving an explicit batch of cells.
 
     The general per-graph trial: instead of re-generating (or
     re-traversing) the topology for every (algorithm, start, target,
-    seed) search cell, the graph is built once from ``seed``,
-    snapshotted per ``backend``, and every cell runs against the shared
-    snapshot.  Cells are dicts with
+    seed) search cell, the graph is built once from ``seed`` into a
+    frozen snapshot, and every cell runs against the shared snapshot.
+    Cells are dicts with
 
     * ``"algorithm"`` — a member of ``portfolio`` (required);
     * ``"run_index"`` — repetition index feeding the run-seed substream
@@ -691,9 +639,7 @@ def batched_search_trial(
     """
     family_obj = build_family(family)
     factories = portfolio_factories(portfolio)
-    graph = build_graph_snapshot(
-        family_obj, size, seed, backend
-    )
+    graph = build_graph_snapshot(family_obj, size, seed)
     target = family_obj.theorem_target(graph)
     start = choose_start(family_obj, graph, target, start_rule, seed)
     return _execute_cells(
@@ -740,13 +686,12 @@ def churn_search_trial(
     runs_per_graph: int = 2,
     budget: Optional[int] = None,
     neighbor_success: bool = False,
-    backend: str = "frozen",
     seed: int = 0,
 ) -> Dict[str, Any]:
     """One churned graph realisation searched by a whole portfolio.
 
-    Builds the family graph from ``seed`` (honoring ``backend``
-    exactly like :func:`search_cost_graph_trial`), drives
+    Builds the family graph from ``seed`` (exactly like
+    :func:`search_cost_graph_trial`), drives
     ``round(churn_rate * size)`` population-preserving churn steps
     (leave + model-faithful join per step, leaves biased per
     ``churn_bias``) through a :class:`~repro.graphs.churn.ChurnProcess`
@@ -771,9 +716,7 @@ def churn_search_trial(
         )
     family_obj = build_family(family)
     factories = portfolio_factories(portfolio)
-    base = build_graph_snapshot(
-        family_obj, size, seed, backend
-    )
+    base = build_graph_snapshot(family_obj, size, seed)
     process = ChurnProcess(
         family_obj,
         base,
@@ -819,7 +762,6 @@ def churn_survival_trial(
     remove_fractions: List[float],
     churn_bias: str = "uniform",
     resnapshot_every: int = 0,
-    backend: str = "frozen",
     seed: int = 0,
 ) -> Dict[str, Any]:
     """Giant-component survival of one realisation under pure decay.
@@ -848,9 +790,7 @@ def churn_survival_trial(
             f"got {churn_bias!r}"
         )
     family_obj = build_family(family)
-    base = build_graph_snapshot(
-        family_obj, size, seed, backend
-    )
+    base = build_graph_snapshot(family_obj, size, seed)
     initial = base.num_vertices
     process = ChurnProcess(
         family_obj,
@@ -890,7 +830,6 @@ def trajectory_scaling_trial(
     budget: Optional[int] = None,
     neighbor_success: bool = False,
     start_rule: str = "default",
-    backend: str = "frozen",
     seed: int = 0,
 ) -> Dict[str, Dict[str, List[Dict[str, Any]]]]:
     """One growth trajectory serving a whole scaling grid of cells.
@@ -911,9 +850,7 @@ def trajectory_scaling_trial(
         sizes, seed=seed, generator=resolve_kernels().generator
     )
     values: Dict[str, Dict[str, List[Dict[str, Any]]]] = {}
-    for size, graph in trajectory_snapshots(
-        full_graph, marks, sizes, backend
-    ):
+    for size, graph in trajectory_snapshots(full_graph, marks, sizes):
         target = family_obj.theorem_target(graph)
         start = choose_start(
             family_obj, graph, target, start_rule, seed
@@ -944,7 +881,6 @@ def trajectory_slowdown_trial(
     *,
     family: Dict[str, Any],
     sizes: List[int],
-    backend: str = "frozen",
     seed: int = 0,
 ) -> Dict[str, Dict[str, int]]:
     """E17's simulation-slowdown cells along one growth trajectory.
@@ -961,9 +897,7 @@ def trajectory_slowdown_trial(
         sizes, seed=seed, generator=resolve_kernels().generator
     )
     values: Dict[str, Dict[str, int]] = {}
-    for size, graph in trajectory_snapshots(
-        full_graph, marks, sizes, backend
-    ):
+    for size, graph in trajectory_snapshots(full_graph, marks, sizes):
         target = theorem_target_for_size(size)
         strong_result = run_search(
             HighDegreeStrongSearch(), graph, 1, target, seed=0
@@ -987,11 +921,10 @@ def degree_fit_trial(
     *,
     family: Dict[str, Any],
     n: int,
-    backend: str = "frozen",
     seed: int = 0,
 ) -> Dict[str, Any]:
     """One E6 specimen: build a graph and fit its degree power law."""
-    graph = snapshot_graph(build_specimen(family, n, seed), backend)
+    graph = freeze(build_specimen(family, n, seed))
     degrees = graph.degree_sequence()
     fit = fit_power_law(degrees)
     return {
@@ -1006,7 +939,6 @@ def simulation_slowdown_trial(
     *,
     family: Dict[str, Any],
     size: int,
-    backend: str = "frozen",
     seed: int = 0,
 ) -> Dict[str, Any]:
     """One E17 instance: strong vs simulated-weak cost and max degree.
@@ -1017,9 +949,7 @@ def simulation_slowdown_trial(
     from repro.core.families import theorem_target_for_size
 
     family_obj = build_family(family)
-    graph = build_graph_snapshot(
-        family_obj, size, seed, backend
-    )
+    graph = build_graph_snapshot(family_obj, size, seed)
     target = theorem_target_for_size(size)
     strong_result = run_search(
         HighDegreeStrongSearch(), graph, 1, target, seed=0

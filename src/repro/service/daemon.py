@@ -15,9 +15,10 @@ The load-once/serve-many shape:
    from a single-threaded parent — forking a threaded process is how
    stdlib pools deadlock);
 4. HTTP threads validate queries and hand them to the **batched
-   dispatch layer** (:class:`~repro.service.dispatch.BatchDispatcher`):
-   concurrent queries for the same graph coalesce over a short window
-   into one worker call that answers the whole batch via
+   dispatch layer** (:class:`~repro.service.dispatch.BatchDispatcher`),
+   the only path to the pool: concurrent queries for the same graph
+   coalesce over a short window (zero: dispatch without waiting) into
+   one worker call that answers the whole batch via
    ``_execute_cells`` — on the kernels
    :func:`~repro.core.trials.resolve_kernels` picks, like every batch
    run — and the answers fan back out to the waiting
@@ -52,8 +53,8 @@ Routes
 ``POST /search``
     one query ``{"graph", "algorithm", "run_index", "start"?,
     "target"?}`` -> one serialized SearchResult, bit-identical to the
-    batch path's cell whether it was answered per-query, coalesced,
-    or from cache.
+    batch path's cell whether it was answered alone, coalesced, or
+    from cache.
 ``POST /reload``
     corpus hot-reload: re-scan the corpus directory and publish any
     graphs that appeared since start; ``{"added": [...], "total": N}``.
@@ -116,8 +117,8 @@ class SearchService:
         publishes newly appeared snapshots without a restart.
     batch_window:
         Query-coalescing window in seconds (default 5 ms).  ``0``
-        disables coalescing: every query is its own pool call (the
-        PR 9 per-query path).
+        dispatches without waiting: a batch holds whatever queued
+        while the graph's previous batch ran.
     batch_max:
         Flush a graph's queue early once it holds this many queries.
     max_queue:
@@ -152,7 +153,6 @@ class SearchService:
         cache_size: int = 2048,
         cache_store: Any = None,
         stats_interval: float = 0.0,
-        nodelay: bool = True,
     ):
         if not entries:
             raise ExperimentError("a service needs at least one graph")
@@ -179,10 +179,6 @@ class SearchService:
         # Workers resolve the same kernels on their own; this copy
         # labels the log line and /stats.
         self.engine = resolve_kernels().engine
-        # nodelay=False restores the PR 9 wire behavior (Nagle on, so
-        # the two-send HTTP reply stalls behind delayed ACK) — kept
-        # solely so the benchmark can reconstruct that baseline.
-        self.nodelay = nodelay
         self.stats = ServiceStats()
         self.cache = AnswerCache(cache_size)
         self.cache_store = cache_store
@@ -219,23 +215,20 @@ class SearchService:
             # Pool before any thread: workers fork from a
             # single-threaded parent.
             self._pool = self._spawn_pool(warm=True)
-            if self.batch_window > 0:
-                # Split the pool across graphs: each graph may keep
-                # enough batches in flight to cover its share of the
-                # workers, but no more — extra in-flight batches would
-                # only fragment the backlog inside the pool's queue.
-                inflight = max(
-                    1, self.workers // max(1, len(self.entries))
-                )
-                self._dispatcher = BatchDispatcher(
-                    self._submit_batch,
-                    window=self.batch_window,
-                    batch_max=self.batch_max,
-                    max_pending=self.max_queue,
-                    inflight_per_graph=inflight,
-                    stats=self.stats,
-                    on_batch_error=self._note_batch_error,
-                )
+            # Split the pool across graphs: each graph may keep enough
+            # batches in flight to cover its share of the workers, but
+            # no more — extra in-flight batches would only fragment the
+            # backlog inside the pool's queue.
+            inflight = max(1, self.workers // max(1, len(self.entries)))
+            self._dispatcher = BatchDispatcher(
+                self._submit_batch,
+                window=self.batch_window,
+                batch_max=self.batch_max,
+                max_pending=self.max_queue,
+                inflight_per_graph=inflight,
+                stats=self.stats,
+                on_batch_error=self._note_batch_error,
+            )
             if self._stats_interval > 0:
                 self._stats_thread = threading.Thread(
                     target=self._stats_loop,
@@ -243,10 +236,7 @@ class SearchService:
                     daemon=True,
                 )
                 self._stats_thread.start()
-            handler = _Handler if self.nodelay else _LegacyWireHandler
-            self._server = _Server(
-                (self.host, self.port), handler
-            )
+            self._server = _Server((self.host, self.port), _Handler)
             self._server.daemon_threads = True
             self._server.service = self  # type: ignore[attr-defined]
             self.port = self._server.server_address[1]
@@ -279,8 +269,9 @@ class SearchService:
             self._server_thread.join(timeout=5)
             self._server_thread = None
         if self._dispatcher is not None:
+            # Kept after close: a late request on a kept-alive
+            # connection gets the closed dispatcher's 503.
             self._dispatcher.close()
-            self._dispatcher = None
         # Handler threads are daemons; give the ones whose queries
         # just resolved (503 on close, or a final pool answer) a
         # bounded moment to flush their responses before the process
@@ -373,8 +364,9 @@ class SearchService:
 
         Worker death surfaces as :class:`BrokenProcessPool`; the pool
         object is permanently broken, so swap in a fresh one — the
-        failed batch's queries already got their 503, every later
-        batch lands on live workers.
+        failed batch's queries get their 503, every later batch lands
+        on live workers.  This is the one place worker death is
+        handled.
         """
         if isinstance(error, BrokenProcessPool):
             pool = self._pool
@@ -411,20 +403,9 @@ class SearchService:
                 self.stats.cache_hit()
                 return answer
             self.stats.cache_miss()
-        cell = query_cell(algorithm, run_index, start, target)
-        dispatcher = self._dispatcher
-        if dispatcher is not None:
-            future = dispatcher.submit(graph_id, cell)
-        else:
-            # Per-query dispatch (batch_window=0): one pool call per
-            # request, the PR 9 path.
-            self.stats.record_batch(1)
-            try:
-                batch = self._submit_batch(graph_id, [cell])
-            except QueryError:
-                self.stats.record_batch_failure()
-                raise
-            future = _Unbatch(batch)
+        future = self._dispatcher.submit(
+            graph_id, query_cell(algorithm, run_index, start, target)
+        )
         try:
             answer = future.result(timeout=self.query_timeout)
         except QueryError:
@@ -437,16 +418,6 @@ class SearchService:
                 f"{self.query_timeout:g}s in dispatch/execution",
                 timeout_s=self.query_timeout,
             ) from None
-        except BrokenProcessPool as error:
-            # Per-query path: the worker died under this very call.
-            self.stats.record_batch_failure()
-            pool = self._pool
-            if pool is not None:
-                self._respawn_pool(pool)
-            raise QueryError(
-                503,
-                f"worker process died executing the query: {error}",
-            ) from error
         self.cache.put(key, answer)
         self._store_write(
             graph_id, algorithm, run_index, start, target, answer
@@ -493,10 +464,7 @@ class SearchService:
         snapshot["engine"] = self.engine
         snapshot["batch_window_ms"] = self.batch_window * 1000.0
         snapshot["batch_max"] = self.batch_max
-        dispatcher = self._dispatcher
-        snapshot["queue_depth"] = (
-            dispatcher.pending if dispatcher is not None else 0
-        )
+        snapshot["queue_depth"] = self._dispatcher.pending
         return snapshot
 
     def handle_reload(self) -> Dict[str, Any]:
@@ -530,18 +498,6 @@ class SearchService:
                 if old_pool is not None:
                     old_pool.shutdown(wait=True)
             return {"added": added, "total": len(self.entries)}
-
-
-class _Unbatch:
-    """A single-cell view of a batch future (per-query dispatch)."""
-
-    __slots__ = ("_batch",)
-
-    def __init__(self, batch):
-        self._batch = batch
-
-    def result(self, timeout: Optional[float] = None):
-        return self._batch.result(timeout=timeout)[0]
 
 
 class _Server(ThreadingHTTPServer):
@@ -667,14 +623,3 @@ class _Handler(BaseHTTPRequestHandler):
                 404, {"error": f"unknown path {self.path!r}"}
             )
 
-
-class _LegacyWireHandler(_Handler):
-    """The PR 9 wire behavior: Nagle left on.
-
-    The reply's two small sends then serialize behind delayed ACK
-    (~40 ms per request on loopback).  Exists only so the serving
-    benchmark can measure the batched dispatch layer against the PR 9
-    per-query path as it actually shipped; never the default.
-    """
-
-    disable_nagle_algorithm = False

@@ -1,8 +1,8 @@
 """Query coalescing and answer caching for the search daemon.
 
-The PR 9 daemon paid one pool round-trip — one pickle, one IPC hop,
-one serially executed cell — per HTTP request.  This module amortizes
-that cost two ways:
+Every query the daemon sends to its worker pool goes through this
+module; a pool round-trip per HTTP request (one pickle, one IPC hop,
+one serially executed cell) is what it amortizes, two ways:
 
 * :class:`BatchDispatcher` — HTTP threads enqueue validated queries
   into a per-graph coalescing queue and block on a future; a single
@@ -17,8 +17,9 @@ that cost two ways:
   dispatcher fans the per-query answers back to the waiting threads.
   Queries regroup freely because every cell's RNG substream depends
   only on ``(graph seed, algorithm, run_index)``: coalesced answers
-  are bit-identical to per-query answers by the same contract that
-  pins the batch path.
+  are bit-identical to single-query answers by the same contract that
+  pins the batch path.  A zero window dispatches without waiting: each
+  batch holds whatever queued while the graph's previous batch ran.
 
 * :class:`AnswerCache` — served answers are replay-addressable cells
   (same determinism contract), so a repeated query is a dictionary
@@ -106,7 +107,8 @@ class BatchDispatcher:
         Coalescing window in **seconds**, measured from the moment the
         dispatcher sees a query while idle.  Longer windows build
         bigger batches (better amortization) at the cost of adding up
-        to ``window`` to every miss-path p50.
+        to ``window`` to every miss-path p50; ``0`` dispatches at
+        once.
     batch_max:
         Flush a graph's queue immediately once it holds this many
         queries — the window is a deadline, not a mandatory delay.

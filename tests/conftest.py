@@ -45,3 +45,43 @@ def small_tree():
 def small_merged():
     """A deterministic small merged Móri graph (seeded)."""
     return merged_mori_graph(20, 2, 0.5, seed=42)
+
+
+@pytest.fixture
+def use_multigraph(monkeypatch):
+    """Activator: make in-process trials search mutable MultiGraphs.
+
+    Searches always run on frozen CSR snapshots.  Calling the returned
+    function hands every search and degree fit the trial layer runs
+    (independent builds, trajectory checkpoints, E6's specimens and
+    E12's percolation graph) the MultiGraph form instead, for the rest
+    of the test, so a whole experiment can be replayed on the mutable
+    oracle and compared.
+    """
+    import repro.core.experiments as experiments
+    import repro.core.trials as trials
+    from repro.graphs.frozen import FrozenGraph
+
+    build = trials.build_graph_snapshot
+    checkpoints = trials.trajectory_snapshots
+
+    def thawed(graph):
+        return graph.thaw() if isinstance(graph, FrozenGraph) else graph
+
+    def activate() -> None:
+        monkeypatch.setattr(trials, "freeze", lambda graph: graph)
+        monkeypatch.setattr(experiments, "freeze", lambda graph: graph)
+        monkeypatch.setattr(
+            trials,
+            "build_graph_snapshot",
+            lambda *args: thawed(build(*args)),
+        )
+        monkeypatch.setattr(
+            trials,
+            "trajectory_snapshots",
+            lambda *args: [
+                (size, thawed(graph)) for size, graph in checkpoints(*args)
+            ],
+        )
+
+    return activate

@@ -1,34 +1,34 @@
 """Fast validation of the committed benchmark-trajectory records.
 
-Each PR appends one point to the bench trajectory: ``BENCH_PR2.json``
-(FrozenGraph cell batching, regenerable with
-``PYTHONPATH=src python benchmarks/bench_smoke.py --pr2``),
-``BENCH_PR3.json`` (growth-trajectory checkpoint engine, ``--pr3``),
-``BENCH_PR4.json`` (vectorized walker-ensemble engine, ``--pr4``),
-``BENCH_PR5.json`` (declarative experiment registry, ``--pr5``) and
-``BENCH_PR6.json`` (vectorized generation engine + corpus store,
-``--pr6``), ``BENCH_PR7.json`` (pluggable trial store, ``--pr7``)
-``BENCH_PR8.json`` (dynamic-graph overlay, ``--pr8``) and
-``BENCH_PR9.json`` (shared-memory graph workers + search service,
-written by ``make bench-smoke``).  These tests never run the
-benchmarks (that
-takes minutes) but pin the committed artifacts: the schema the
+The ``BENCH_PR*.json`` files are frozen history: each was written once
+by the commit that added it, and nothing in the repository regenerates
+them (the benchmark that measures the shipped code today is
+``perfbench/``).  ``BENCH_PR2.json`` records FrozenGraph cell
+batching, ``BENCH_PR3.json`` the growth-trajectory checkpoint engine,
+``BENCH_PR4.json`` the vectorized walker-ensemble engine,
+``BENCH_PR5.json`` the declarative experiment registry,
+``BENCH_PR6.json`` the vectorized generation engine + corpus store,
+``BENCH_PR7.json`` the pluggable trial store, ``BENCH_PR8.json`` the
+dynamic-graph overlay, ``BENCH_PR9.json`` the shared-memory graph
+workers + search service and ``BENCH_PR10.json`` the batched serving
+stack.  These tests never run the benchmarks but pin the committed
+artifacts: the schema the
 trajectory tooling consumes and each PR's recorded acceptance claim
 (>= 3x on the PR2 flooding/BFS cell batch; >= 2x on the PR3
 grid-realisation workload; >= 3x on the PR4 ensemble-vs-serial walk
 cell, frozen backend with numpy; the PR5 registry-enumeration smoke
 must match the *live* registry, so re-declaring an experiment
-without regenerating the artifact fails here; >= 5x on the PR6
-vectorized-vs-serial Móri generation at n=10^6, with the bench-built
-corpus passing ``verify``; >= 2x warm trial replay and >= 5x fewer
-inodes for the PR7 sqlite store vs the json-files baseline, with the
-in-bench migration verifying every record bit-identical; >= 3x for
-the PR8 overlay churn+search workload vs rebuilding a snapshot per
-churn step, with both strategies digest- and request-identical;
->= 2x for the PR9 shared-memory dispatch vs pickling the CSR into
-every spec, on bit-identical trial values, with the service-load
-block recording p50/p99 latency and sustained qps under >= 4
-concurrent clients).
+without refreshing the artifact's registry block fails here; >= 5x on
+the PR6 vectorized-vs-serial Móri generation at n=10^6, with the
+bench-built corpus passing ``verify``; >= 2x warm trial replay and
+>= 5x fewer inodes for the PR7 sqlite store vs the json-files
+baseline, with the in-bench migration verifying every record
+bit-identical; >= 3x for the PR8 overlay churn+search workload vs
+rebuilding a snapshot per churn step, with both strategies digest- and
+request-identical; >= 2x for the PR9 shared-memory dispatch vs
+pickling the CSR into every spec, on bit-identical trial values, with
+the service-load block recording p50/p99 latency and sustained qps
+under >= 4 concurrent clients).
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ VALID_SERVING_DISPATCHES = {"per-query", "coalesced", "cache-warm"}
 @pytest.fixture(scope="module")
 def payload():
     assert os.path.exists(BENCH_PATH), (
-        "BENCH_PR2.json missing; run "
-        "`PYTHONPATH=src python benchmarks/bench_smoke.py --pr2`"
+        "BENCH_PR2.json missing; it is frozen history, written "
+        "by the commit that added it"
     )
     with open(BENCH_PATH, encoding="utf-8") as handle:
         return json.load(handle)
@@ -126,7 +126,8 @@ class TestBenchSchema:
 @pytest.fixture(scope="module")
 def pr3_payload():
     assert os.path.exists(BENCH_PR3_PATH), (
-        "BENCH_PR3.json missing; run `make bench-smoke`"
+        "BENCH_PR3.json missing; it is frozen history, written "
+        "by the commit that added it"
     )
     with open(BENCH_PR3_PATH, encoding="utf-8") as handle:
         return json.load(handle)
@@ -202,7 +203,8 @@ class TestBenchPR3Schema:
 @pytest.fixture(scope="module")
 def pr4_payload():
     assert os.path.exists(BENCH_PR4_PATH), (
-        "BENCH_PR4.json missing; run `make bench-smoke`"
+        "BENCH_PR4.json missing; it is frozen history, written "
+        "by the commit that added it"
     )
     with open(BENCH_PR4_PATH, encoding="utf-8") as handle:
         return json.load(handle)
@@ -277,8 +279,8 @@ class TestBenchPR4Schema:
 @pytest.fixture(scope="module")
 def pr5_payload():
     assert os.path.exists(BENCH_PR5_PATH), (
-        "BENCH_PR5.json missing; run "
-        "`PYTHONPATH=src python benchmarks/bench_smoke.py --pr5`"
+        "BENCH_PR5.json missing; it is frozen history, written "
+        "by the commit that added it"
     )
     with open(BENCH_PR5_PATH, encoding="utf-8") as handle:
         return json.load(handle)
@@ -331,8 +333,8 @@ class TestBenchPR5Schema:
 
     def test_registry_block_matches_live_registry(self, pr5_payload):
         """The committed enumeration is the *current* surface: adding
-        or re-declaring an experiment without regenerating the
-        artifact (`make bench-smoke`) fails here."""
+        or re-declaring an experiment without refreshing the
+        artifact's registry block fails here."""
         from repro.core.registry import REGISTRY
 
         registry = pr5_payload["registry"]
@@ -347,7 +349,8 @@ class TestBenchPR5Schema:
 @pytest.fixture(scope="module")
 def pr6_payload():
     assert os.path.exists(BENCH_PR6_PATH), (
-        "BENCH_PR6.json missing; run `make bench-smoke`"
+        "BENCH_PR6.json missing; it is frozen history, written "
+        "by the commit that added it"
     )
     with open(BENCH_PR6_PATH, encoding="utf-8") as handle:
         return json.load(handle)
@@ -426,7 +429,8 @@ class TestBenchPR6Schema:
 @pytest.fixture(scope="module")
 def pr7_payload():
     assert os.path.exists(BENCH_PR7_PATH), (
-        "BENCH_PR7.json missing; run `make bench-smoke`"
+        "BENCH_PR7.json missing; it is frozen history, written "
+        "by the commit that added it"
     )
     with open(BENCH_PR7_PATH, encoding="utf-8") as handle:
         return json.load(handle)
@@ -516,7 +520,8 @@ class TestBenchPR7Schema:
 @pytest.fixture(scope="module")
 def pr8_payload():
     assert os.path.exists(BENCH_PR8_PATH), (
-        "BENCH_PR8.json missing; run `make bench-smoke`"
+        "BENCH_PR8.json missing; it is frozen history, written "
+        "by the commit that added it"
     )
     with open(BENCH_PR8_PATH, encoding="utf-8") as handle:
         return json.load(handle)
@@ -604,7 +609,8 @@ class TestBenchPR8Schema:
 @pytest.fixture(scope="module")
 def pr9_payload():
     assert os.path.exists(BENCH_PR9_PATH), (
-        "BENCH_PR9.json missing; run `make bench-smoke`"
+        "BENCH_PR9.json missing; it is frozen history, written "
+        "by the commit that added it"
     )
     with open(BENCH_PR9_PATH, encoding="utf-8") as handle:
         return json.load(handle)
@@ -688,7 +694,8 @@ class TestBenchPR9Schema:
 @pytest.fixture(scope="module")
 def pr10_payload():
     assert os.path.exists(BENCH_PR10_PATH), (
-        "BENCH_PR10.json missing; run `make bench-smoke`"
+        "BENCH_PR10.json missing; it is frozen history, written "
+        "by the commit that added it"
     )
     with open(BENCH_PR10_PATH, encoding="utf-8") as handle:
         return json.load(handle)

@@ -277,24 +277,14 @@ class TestCacheProtocol:
         monkeypatch.setenv(CORPUS_DIR_VARIABLE, str(tmp_path))
         reset_corpus_stats()
         family = MoriFamily(p=0.5, m=2)
-        first = build_graph_snapshot(family, 60, 2, "frozen")
-        again = build_graph_snapshot(family, 60, 2, "frozen")
+        first = build_graph_snapshot(family, 60, 2)
+        again = build_graph_snapshot(family, 60, 2)
         serial = family.build_frozen(60, seed=3, generator="serial")
         GraphCorpus(tmp_path).put(family_spec(family), 60, 3, serial)
-        crossed = build_graph_snapshot(family, 60, 3, "frozen")
+        crossed = build_graph_snapshot(family, 60, 3)
         assert corpus_stats() == {"hits": 2, "misses": 1}
         assert first == again
         assert crossed == serial
-
-    def test_multigraph_backend_bypasses_corpus(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv(CORPUS_DIR_VARIABLE, str(tmp_path))
-        reset_corpus_stats()
-        family = MoriFamily(p=0.5, m=1)
-        build_graph_snapshot(family, 50, 0, "multigraph")
-        assert corpus_stats() == {"hits": 0, "misses": 0}
-        assert list(GraphCorpus(tmp_path).entries()) == []
 
     def test_inexact_size_family_bypasses_corpus(
         self, tmp_path, monkeypatch
@@ -308,7 +298,7 @@ class TestCacheProtocol:
         monkeypatch.setenv(CORPUS_DIR_VARIABLE, str(tmp_path))
         reset_corpus_stats()
         family = ConfigurationFamily(exponent=2.5, min_degree=2)
-        snapshot = build_graph_snapshot(family, 120, 7, "frozen")
+        snapshot = build_graph_snapshot(family, 120, 7)
         assert snapshot.num_vertices <= 120
         assert corpus_stats() == {"hits": 0, "misses": 0}
         assert list(GraphCorpus(tmp_path).entries()) == []
@@ -323,7 +313,7 @@ class TestGeneratorCacheKey:
 
         specs = _build_cell_specs(
             "E1", MoriFamily(p=0.5, m=1), 60, "weak", 2, 1, None,
-            1, False, "default", "frozen",
+            1, False, "default",
         )
         for spec in specs:
             assert "generator" not in spec.params

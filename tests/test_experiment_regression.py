@@ -11,12 +11,12 @@ A second set of checks asserts the acceptance criterion end-to-end:
 `repro run <id> --jobs 4 --json out.json` is byte-identical to the
 serial run, and a warm `--cache-dir` re-run recomputes nothing.
 
-The graph-backend refactor extends the bargain: searches now default
-to running on :class:`~repro.graphs.frozen.FrozenGraph` snapshots with
-batched per-graph cells, and the *same* golden scalars must come out
-on either backend (the default serial pin exercises ``frozen``;
-``test_derived_scalars_pinned_multigraph`` forces the pre-refactor
-mutable path; ``TestBatchedCellLayout`` re-derives a pinned
+The graph-snapshot refactor extends the bargain: searches run on
+:class:`~repro.graphs.frozen.FrozenGraph` snapshots with batched
+per-graph cells, and the *same* golden scalars must come out on the
+mutable graph too (the default serial pin exercises the snapshots;
+``test_derived_scalars_pinned_multigraph`` replays every search on the
+MultiGraph oracle; ``TestBatchedCellLayout`` re-derives a pinned
 experiment's raw per-graph values through the explicit
 ``batched_search_trial`` cell layout).
 """
@@ -134,7 +134,7 @@ MODE_EXPERIMENTS = [
 def test_derived_scalars_pinned_serial(experiment_id):
     """jobs=1 reproduces the pre-refactor numbers bit-for-bit.
 
-    The default backend is now ``frozen``, so this also pins that the
+    Searches run on frozen snapshots, so this also pins that the
     CSR-snapshot batched path changes nothing numerically.
     """
     pin = GOLDEN[experiment_id]
@@ -243,13 +243,16 @@ class TestTrajectoryMode:
                 result.derived[f"worst_ratio/n={size}"] == cell_worst
             )
 
-    def test_e17_trajectory_backend_and_jobs_invariant(self):
+    def test_e17_trajectory_backend_and_jobs_invariant(
+        self, use_multigraph
+    ):
         pin = TRAJECTORY_GOLDEN["E17"]
         baseline = e17_simulation_slowdown(
             **pin["kwargs"], mode="trajectory"
         )
+        use_multigraph()
         multigraph = e17_simulation_slowdown(
-            **pin["kwargs"], mode="trajectory", backend="multigraph"
+            **pin["kwargs"], mode="trajectory"
         )
         assert multigraph.derived == baseline.derived
 
@@ -303,12 +306,11 @@ class TestTrajectoryMode:
 
 
 @pytest.mark.parametrize("experiment_id", sorted(GOLDEN))
-def test_derived_scalars_pinned_multigraph(experiment_id):
-    """backend='multigraph' (the pre-refactor path) matches the pins too."""
+def test_derived_scalars_pinned_multigraph(experiment_id, use_multigraph):
+    """Searching the mutable MultiGraph matches the pins too."""
     pin = GOLDEN[experiment_id]
-    result = EXPERIMENTS[experiment_id](
-        **pin["kwargs"], backend="multigraph"
-    )
+    use_multigraph()
+    result = EXPERIMENTS[experiment_id](**pin["kwargs"])
     assert result.derived == pin["derived"]
 
 

@@ -218,7 +218,7 @@ class TestCLI:
     def test_ignored_runner_flags_warn_on_non_runner_experiment(
         self, capsys, tmp_path
     ):
-        """E4 never consults --jobs/--cache-dir/--backend/--mode; the
+        """E4 never consults --jobs/--cache-dir/--mode; the
         CLI must say so instead of letting the user believe results
         were cached or parallelised."""
         cache = str(tmp_path / "cache")
@@ -227,16 +227,14 @@ class TestCLI:
                 "run", "E4", "--quick",
                 "--jobs", "4",
                 "--cache-dir", cache,
-                "--backend", "multigraph",
                 "--mode", "trajectory",
             ]
         ) == 0
         err = capsys.readouterr().err
         assert "--jobs 4 has no effect on E4" in err
         assert f"--cache-dir {cache} has no effect on E4" in err
-        assert "--backend multigraph has no effect on E4" in err
         assert "--mode trajectory has no effect on E4" in err
-        assert err.count("warning:") == 4
+        assert err.count("warning:") == 3
 
     @pytest.mark.parametrize(
         "experiment_id", ("E5", "E8", "E10", "E12", "E15", "E16")

@@ -43,7 +43,7 @@ from repro.core.families import (
 import repro.core.trials as trials_module
 from repro.core.trials import build_graph_snapshot
 from repro.errors import EngineUnavailableError, InvalidParameterError
-from repro.graphs import FrozenGraph, MultiGraph, freeze
+from repro.graphs import FrozenGraph, freeze
 from repro.graphs.barabasi_albert import barabasi_albert_graph
 from repro.graphs.cooper_frieze import (
     CooperFriezeParams,
@@ -378,23 +378,13 @@ class TestDispatch:
     @needs_numpy
     def test_build_graph_snapshot_frozen_backend(self, monkeypatch):
         family = MoriFamily(p=0.5, m=2)
-        fast = build_graph_snapshot(family, 80, 4, "frozen")
+        fast = build_graph_snapshot(family, 80, 4)
         monkeypatch.setattr(trials_module, "HAVE_NUMPY", False)
-        serial = build_graph_snapshot(family, 80, 4, "frozen")
+        serial = build_graph_snapshot(family, 80, 4)
         assert isinstance(fast, FrozenGraph)
+        assert isinstance(serial, FrozenGraph)
         assert fast == serial == freeze(family.build(80, seed=4))
         assert hash(fast) == hash(serial)
-
-    @needs_numpy
-    def test_build_graph_snapshot_multigraph_backend_thaws(
-        self, monkeypatch
-    ):
-        family = MoriFamily(p=0.5, m=2)
-        fast = build_graph_snapshot(family, 80, 4, "multigraph")
-        monkeypatch.setattr(trials_module, "HAVE_NUMPY", False)
-        serial = build_graph_snapshot(family, 80, 4, "multigraph")
-        assert isinstance(fast, MultiGraph)
-        assert freeze(fast) == freeze(serial)
 
     def test_kernel_less_family_falls_back_serially(self):
         """ConfigurationFamily has no kernel: vectorized == serial."""

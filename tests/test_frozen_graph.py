@@ -10,7 +10,8 @@ tests pin the contract from every side:
 * **search equivalence** — full searches, including the flooding CSR
   kernel's fast path, return bit-identical ``SearchResult`` values;
 * **batched trials** — :func:`repro.core.trials.batched_search_trial`
-  reproduces the portfolio trial draw-for-draw, on either backend;
+  reproduces the portfolio trial draw-for-draw, on the snapshot and on
+  the MultiGraph oracle (the ``use_multigraph`` fixture);
 * **freeze-then-hash** — the documented mutability caveat on
   ``MultiGraph.__hash__`` and the snapshot's stability under it;
 * **fallback** — with numpy unavailable, the stdlib-``array`` CSR
@@ -317,7 +318,7 @@ class TestSearchEquivalence:
 class TestBatchedTrials:
     """One snapshot, many cells — draw-for-draw identical regrouping."""
 
-    def test_batched_reproduces_portfolio_trial(self):
+    def test_batched_reproduces_portfolio_trial(self, use_multigraph):
         from repro.core.families import MoriFamily as Fam
         from repro.core.trials import (
             batched_search_trial,
@@ -337,9 +338,9 @@ class TestBatchedTrials:
             for run_index in range(2)
         ]
         for backend in ("frozen", "multigraph"):
-            flat = batched_search_trial(
-                **kwargs, cells=cells, backend=backend
-            )
+            if backend == "multigraph":
+                use_multigraph()
+            flat = batched_search_trial(**kwargs, cells=cells)
             regrouped: dict = {}
             for cell, value in zip(cells, flat):
                 regrouped.setdefault(cell["algorithm"], []).append(
@@ -416,34 +417,22 @@ class TestBatchedTrials:
                 graph_seeds=[1],
             )
 
-    def test_unknown_backend_rejected(self):
-        from repro.core.trials import snapshot_graph
-
-        with pytest.raises(ExperimentError):
-            snapshot_graph(MultiGraph(2), "networkx")
-
     def test_default_backend_keeps_cache_keys_stable(self):
-        """Trial values are backend-independent, so the default backend
-        must stay out of the cache key: pre-snapshot stores keep
-        replaying, and only a forced non-default backend forks keys."""
+        """Trial values do not depend on the graph form, so the
+        snapshot stays out of the cache key: stores filled before
+        snapshots existed (or under the old ``--backend`` default) keep
+        replaying."""
         from repro.core.families import MoriFamily as Fam
         from repro.core.searchability import _build_cell_specs
 
-        def keys(backend):
-            specs = _build_cell_specs(
-                "E1", Fam(p=0.5, m=1), 60, "weak", 1, 1, None, 1,
-                False, "default", backend,
-            )
-            return [spec.key() for spec in specs]
-
-        frozen_keys = keys("frozen")
-        assert "backend" not in dict(
-            _build_cell_specs(
-                "E1", Fam(p=0.5, m=1), 60, "weak", 1, 1, None, 1,
-                False, "default", "frozen",
-            )[0].params
+        (spec,) = _build_cell_specs(
+            "E1", Fam(p=0.5, m=1), 60, "weak", 1, 1, None, 1,
+            False, "default",
         )
-        assert keys("multigraph") != frozen_keys
+        assert sorted(spec.params) == [
+            "budget", "family", "neighbor_success", "portfolio",
+            "runs_per_graph", "size", "start_rule",
+        ]
 
 
 def _snapshot_digest(graph) -> str:
@@ -592,7 +581,9 @@ class TestTrajectoryCheckpoints:
 class TestTrajectoryTrials:
     """One trajectory spec reproduces the independent trials draw-for-draw."""
 
-    def test_checkpoint_cells_equal_independent_trials(self):
+    def test_checkpoint_cells_equal_independent_trials(
+        self, use_multigraph
+    ):
         from repro.core.trials import (
             family_spec,
             search_cost_graph_trial,
@@ -601,23 +592,28 @@ class TestTrajectoryTrials:
 
         spec = family_spec(MoriFamily(p=0.5, m=1))
         sizes = [60, 120]
+        independent = {
+            n: search_cost_graph_trial(
+                family=spec,
+                size=n,
+                portfolio="high-degree",
+                runs_per_graph=2,
+                seed=77,
+            )
+            for n in sizes
+        }
         for backend in ("frozen", "multigraph"):
+            if backend == "multigraph":
+                use_multigraph()
             value = trajectory_scaling_trial(
                 family=spec,
                 sizes=sizes,
                 portfolio="high-degree",
                 runs_per_graph=2,
                 seed=77,
-                backend=backend,
             )
             for n in sizes:
-                assert value[str(n)] == search_cost_graph_trial(
-                    family=spec,
-                    size=n,
-                    portfolio="high-degree",
-                    runs_per_graph=2,
-                    seed=77,
-                )
+                assert value[str(n)] == independent[n]
 
     def test_slowdown_checkpoints_equal_independent_trials(self):
         from repro.core.trials import (

@@ -132,9 +132,6 @@ class TestRegistrySemantics:
         spec = REGISTRY.get("E17")
         with pytest.raises(ExperimentError, match="unknown mode"):
             spec.make_context(mode="coupled")
-        spec = REGISTRY.get("E1")
-        with pytest.raises(ExperimentError, match="unknown graph backend"):
-            spec.make_context(backend="sparse")
 
     def test_declared_defaults_reach_the_context(self):
         context = REGISTRY.get("E19").make_context()
@@ -180,17 +177,8 @@ class TestRegistrySemantics:
         context = ExecutionContext()
         assert context.jobs == CAPABILITY_PARAMS["jobs"][1]
         assert context.store is CAPABILITY_PARAMS["cache"][1]
-        assert context.backend == CAPABILITY_PARAMS["backend"][1]
         assert context.mode == CAPABILITY_PARAMS["mode"][1]
         assert context.store_backend is CAPABILITY_PARAMS["store"][1]
-
-    def test_trial_params_extra_policy(self):
-        # Defaults stay out of trial params (cache-key stability);
-        # forced non-defaults enter.
-        assert ExecutionContext().trial_params_extra() == {}
-        assert ExecutionContext(
-            backend="multigraph"
-        ).trial_params_extra() == {"backend": "multigraph"}
 
 
 class TestAuditedAxes:
@@ -198,36 +186,33 @@ class TestAuditedAxes:
 
     def test_matrix_rows(self):
         matrix = REGISTRY.capability_matrix()
-        assert matrix["E9"] == ("jobs", "cache", "backend", "store")
-        assert matrix["E12"] == ("backend",)
-        assert matrix["E18"] == (
-            "jobs", "cache", "backend", "mode", "store",
-        )
-        assert matrix["E19"] == (
-            "jobs", "cache", "backend", "mode", "store",
-        )
+        assert matrix["E9"] == ("jobs", "cache", "store")
+        # E12's percolation cascade runs in-process on one snapshot.
+        assert matrix["E12"] == ()
+        assert matrix["E18"] == ("jobs", "cache", "mode", "store")
+        assert matrix["E19"] == ("jobs", "cache", "mode", "store")
         # E8 stays axis-free on purpose: greedy routing navigates by
         # lattice coordinates, not through the oracle machinery.
         assert matrix["E8"] == ()
 
-    def test_e12_backend_invariant(self):
+    def test_e12_backend_invariant(self, use_multigraph):
         from repro.core.experiments import e12_percolation
 
         kwargs = dict(
             n=400, replica_counts=(0, 8), num_queries=5, seed=12
         )
         frozen = e12_percolation(**kwargs)
-        multigraph = e12_percolation(**kwargs, backend="multigraph")
+        use_multigraph()
+        multigraph = e12_percolation(**kwargs)
         assert frozen.derived == multigraph.derived
 
-    def test_e9_backend_invariant(self):
+    def test_e9_backend_invariant(self, use_multigraph):
         from repro.core.experiments import e9_diameter_vs_search
 
         kwargs = dict(sizes=(100, 200), num_graphs=2, seed=9)
         frozen = e9_diameter_vs_search(**kwargs)
-        multigraph = e9_diameter_vs_search(
-            **kwargs, backend="multigraph"
-        )
+        use_multigraph()
+        multigraph = e9_diameter_vs_search(**kwargs)
         assert frozen.derived == multigraph.derived
 
     @needs_numpy
@@ -302,13 +287,12 @@ class TestE20:
         second = e20_cross_model(**self.QUICK, cache_dir=cache)
         assert second.derived == first.derived
 
-    def test_backend_invariant(self):
+    def test_backend_invariant(self, use_multigraph):
         from repro.core.experiments import e20_cross_model
 
         frozen = e20_cross_model(**self.QUICK)
-        multigraph = e20_cross_model(
-            **self.QUICK, backend="multigraph"
-        )
+        use_multigraph()
+        multigraph = e20_cross_model(**self.QUICK)
         assert frozen.derived == multigraph.derived
 
     @needs_numpy
@@ -321,11 +305,10 @@ class TestE20:
 
     def test_cli_acceptance_flags(self, capsys, tmp_path):
         """The ISSUE acceptance shape, downsized: E20 through the real
-        CLI with jobs/backend/cache/store — no experiment-specific CLI
-        code exists for it."""
+        CLI with jobs/cache/store — no experiment-specific CLI code
+        exists for it."""
         argv = [
             "run", "E20", "--quick", "--jobs", "2",
-            "--backend", "frozen",
             "--cache-dir", str(tmp_path / "cache"),
             "--store-backend", "sqlite",
         ]
@@ -345,7 +328,7 @@ class TestCLIListing:
         assert len(lines) == 22
         assert any(
             line.split()[0] == "E1"
-            and "jobs,cache,backend,store" in line
+            and "jobs,cache,store" in line
             for line in lines
         )
         # Axis-free experiments show a dash, not an empty cell.
@@ -407,17 +390,23 @@ class TestCLISetOverrides:
 
 class TestCLICapabilityDerivation:
     def test_warning_comes_from_declaration_not_signature(self, capsys):
-        # E12 declares backend but not jobs.
+        # E12 declares no capabilities, so not jobs.
         assert main(["run", "E12", "--quick", "--jobs", "2"]) == 0
         err = capsys.readouterr().err
         assert err.count("warning:") == 1
         assert "--jobs 2 has no effect on E12" in err
 
     @pytest.mark.parametrize(
-        "flag", (["--engine", "ensemble"], ["--generator", "vectorized"])
+        "flag",
+        (
+            ["--engine", "ensemble"],
+            ["--generator", "vectorized"],
+            ["--backend", "frozen"],
+        ),
     )
     def test_kernel_flags_are_gone(self, capsys, flag):
-        # The trial layer picks the kernels; there is no flag to ask.
+        # The trial layer picks the kernels and always searches frozen
+        # snapshots; there is no flag to ask.
         with pytest.raises(SystemExit):
             main(["run", "E17", "--quick", *flag])
         assert "unrecognized arguments" in capsys.readouterr().err
@@ -428,13 +417,13 @@ class TestCLICapabilityDerivation:
                 "run", "E18", "--quick",
                 "--jobs", "2",
                 "--cache-dir", str(tmp_path / "cache"),
-                "--backend", "frozen",
                 "--mode", "trajectory",
             ]
         ) == 0
         captured = capsys.readouterr()
         assert "warning:" not in captured.err
         assert "mode=trajectory" in captured.out
+        assert REGISTRY.get("E12").capabilities == {}
 
 
 class TestCLICommaLists:

@@ -293,9 +293,13 @@ def _cells_under(
     The trial layer picks its engine itself; the internal
     ``_execute_cells(engine=...)`` argument is the oracle seam that
     pins one engine against the other on the very same snapshot.
+    ``backend="multigraph"`` thaws the snapshot, so the cells run on
+    the mutable oracle form instead.
     """
     family_obj = build_family(family)
-    graph = build_graph_snapshot(family_obj, size, seed, backend)
+    graph = build_graph_snapshot(family_obj, size, seed)
+    if backend == "multigraph":
+        graph = graph.thaw()
     target = family_obj.theorem_target(graph)
     start = choose_start(family_obj, graph, target, "default", seed)
     return _execute_cells(
@@ -350,11 +354,10 @@ class TestEngineTrialAxis:
             size=120,
             portfolio="weak",
             cells=cells,
-            backend=backend,
             seed=23,
         )
-        serial = _cells_under("serial", **kwargs)
-        ensemble = _cells_under("ensemble", **kwargs)
+        serial = _cells_under("serial", backend=backend, **kwargs)
+        ensemble = _cells_under("ensemble", backend=backend, **kwargs)
         assert ensemble == serial
         assert batched_search_trial(**kwargs) == serial
 
@@ -447,7 +450,6 @@ class TestEngineValidation:
             size=40,
             portfolio="weak",
             cells=[{"algorithm": "random-walk"}],
-            backend="multigraph",
             seed=1,
         )
         assert len(values) == 1

@@ -7,6 +7,8 @@ return the same bytes the pool would have, the dispatcher flushes on
 both its triggers (window deadline, batch-max), overload sheds with
 429 instead of piling threads, a dead worker fails one batch — never
 the daemon — and SIGTERM with a non-empty queue still exits clean.
+A zero batch window takes the same dispatcher path, dispatching
+without waiting, and keeps every one of those guarantees.
 """
 
 from __future__ import annotations
@@ -107,10 +109,11 @@ class TestBatchDispatcher:
         finally:
             dispatcher.close()
 
-    def test_window_flushes_partial_batch(self):
+    @pytest.mark.parametrize("window", (0.02, 0.0))
+    def test_window_flushes_partial_batch(self, window):
         pool = _FakePool()
         dispatcher = BatchDispatcher(
-            pool.submit, window=0.02, batch_max=1000
+            pool.submit, window=window, batch_max=1000
         )
         try:
             futures = [
@@ -123,7 +126,57 @@ class TestBatchDispatcher:
             ]
             assert time.monotonic() - begin < 5
             assert [a["run_index"] for a in answers] == [0, 1, 2]
-            assert len(pool.batches) == 1
+            if window:
+                assert len(pool.batches) == 1
+            else:
+                # No window: the first query may leave alone, before
+                # the others are queued.
+                assert sum(len(c) for _, c in pool.batches) == 3
+        finally:
+            dispatcher.close()
+
+    def test_zero_window_dispatches_without_waiting(self):
+        """``window=0``: a query leaves as soon as its graph has a free
+        in-flight slot, and a batch holds exactly what queued while
+        the graph's previous batch ran."""
+        from concurrent.futures import Future
+
+        batches = []
+        running = []
+
+        def submit(graph_id, cells):
+            batches.append([cell["run_index"] for cell in cells])
+            running.append(Future())
+            return running[-1]
+
+        def wait_for(count):
+            deadline = time.monotonic() + 5
+            while len(batches) < count:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+
+        dispatcher = BatchDispatcher(submit, window=0.0, batch_max=1000)
+        try:
+            first = dispatcher.submit("g", {"run_index": 0})
+            wait_for(1)
+            queued = [
+                dispatcher.submit("g", {"run_index": index})
+                for index in (1, 2, 3)
+            ]
+            # One batch per graph in flight: the rest queue behind it.
+            time.sleep(0.05)
+            assert batches == [[0]]
+            running[0].set_result([{"run_index": 0}])
+            assert first.result(timeout=5) == {"run_index": 0}
+            wait_for(2)
+            assert batches == [[0], [1, 2, 3]]
+            running[1].set_result(
+                [{"run_index": index} for index in (1, 2, 3)]
+            )
+            assert [
+                future.result(timeout=5)["run_index"]
+                for future in queued
+            ] == [1, 2, 3]
         finally:
             dispatcher.close()
 
@@ -153,11 +206,12 @@ class TestBatchDispatcher:
         finally:
             dispatcher.close()
 
-    def test_oversized_queue_drains_in_batch_max_chunks(self):
+    @pytest.mark.parametrize("window", (0.01, 0.0))
+    def test_oversized_queue_drains_in_batch_max_chunks(self, window):
         pool = _FakePool()
         stats = ServiceStats()
         dispatcher = BatchDispatcher(
-            pool.submit, window=0.01, batch_max=4, stats=stats
+            pool.submit, window=window, batch_max=4, stats=stats
         )
         try:
             futures = [
@@ -326,31 +380,50 @@ def coalescing_service():
         yield running
 
 
+def _burst_matches_batch_path(service):
+    """24 concurrent queries answer exactly like the batch path; returns
+    the daemon's ``/stats`` snapshot taken afterwards."""
+    algorithms = list(portfolio_algorithms(PORTFOLIO))
+    queries = build_queries(service.handle_graphs(), algorithms, 24)
+    responses, stats = run_load(
+        service.host, service.port, queries, clients=8
+    )
+    cells = [
+        {
+            "algorithm": query["algorithm"],
+            "run_index": query["run_index"],
+        }
+        for query in queries
+    ]
+    assert responses == _expected(cells)
+    assert stats["queries"] == 24
+    with ServiceClient(service.host, service.port) as client:
+        return client.stats()
+
+
 class TestCoalescedServing:
     def test_coalesced_answers_bit_identical_under_load(
         self, coalescing_service
     ):
-        service = coalescing_service
-        algorithms = list(portfolio_algorithms(PORTFOLIO))
-        queries = build_queries(
-            service.handle_graphs(), algorithms, 24
-        )
-        responses, stats = run_load(
-            service.host, service.port, queries, clients=8
-        )
-        cells = [
-            {
-                "algorithm": query["algorithm"],
-                "run_index": query["run_index"],
-            }
-            for query in queries
-        ]
-        assert responses == _expected(cells)
-        assert stats["queries"] == 24
-        snap = service.stats.snapshot()
-        batches = snap["batches"]
+        batches = _burst_matches_batch_path(coalescing_service)["batches"]
         assert batches["queries"] >= 24
         assert batches["count"] <= batches["queries"]
+
+    def test_zero_window_answers_bit_identical_under_load(self):
+        with SearchService(
+            _entries(),
+            portfolio=PORTFOLIO,
+            workers=2,
+            batch_window=0.0,
+            batch_max=16,
+            cache_size=0,
+        ) as service:
+            snap = _burst_matches_batch_path(service)
+        assert snap["batch_window_ms"] == 0.0
+        # Every query went through the dispatcher, in counted batches.
+        assert snap["batches"]["queries"] == 24
+        assert 1 <= snap["batches"]["count"] <= 24
+        assert snap["batches"]["failed"] == 0
 
     def test_cache_hits_are_identical_and_skip_the_pool(
         self, coalescing_service
@@ -523,12 +596,15 @@ class TestRobustness:
             assert statuses.count(429) == 3
             assert service.stats.snapshot()["shed"] == 3
 
-    def test_worker_death_fails_one_batch_not_the_daemon(self):
+    @pytest.mark.parametrize("batch_window", (0.0, 0.005))
+    def test_worker_death_fails_one_batch_not_the_daemon(
+        self, batch_window
+    ):
         with SearchService(
             _entries(),
             portfolio=PORTFOLIO,
             workers=1,
-            batch_window=0.005,
+            batch_window=batch_window,
             cache_size=0,
         ) as service:
             with ServiceClient(service.host, service.port) as client:
@@ -537,6 +613,7 @@ class TestRobustness:
                 # dispatched batch lands on a broken pool and must
                 # fail alone, after which the daemon swaps in a fresh
                 # pool.
+                broken = service._pool
                 for pid in list(service._pool._processes):
                     os.kill(pid, signal.SIGKILL)
                 outcomes = []
@@ -553,6 +630,7 @@ class TestRobustness:
                 assert outcomes[-1] == "ok"
                 failures = [o for o in outcomes if o != "ok"]
                 assert all(status == 503 for status in failures)
+                assert service._pool is not broken
                 assert client.health()["status"] == "ok"
                 # Recovery preserves the determinism contract.
                 assert (
