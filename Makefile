@@ -3,7 +3,7 @@
 
 PYTEST = PYTHONPATH=src python -m pytest
 
-.PHONY: verify verify-full ci ci-numpy ci-no-numpy ci-smoke bench
+.PHONY: verify verify-full ci ci-numpy ci-no-numpy ci-smoke ci-corpus-smoke bench
 
 # Tier-1: the fast suite (pytest.ini excludes `slow`-marked tests).
 verify:
@@ -34,7 +34,9 @@ verify-full:
 # store-agnostic tier-1 subset with sqlite as the process default.
 #
 # ci-numpy adds the tier-1 suite, the corpus-cache smoke (cold fill,
-# warm replay with identical output, verify) and the fallback
+# warm replay with identical output and exact hit/miss tallies,
+# verify), run once at --jobs 1 and once at --jobs 2 so the tally
+# also covers lookups made in worker processes, and the fallback
 # identity check: `repro run E1,E3 --quick` prints byte-identical
 # output on the fast kernels and with numpy import-blocked (the
 # serial kernels the trial layer falls back to).
@@ -47,27 +49,32 @@ SMOKE_PATH = src
 REPRO = PYTHONPATH=$(SMOKE_PATH) python -m repro
 STORE_SMOKE = $(REPRO) run E17 --quick --set sizes=60,120 --set num_graphs=2 --cache-dir .ci-store --store-backend sqlite
 CORPUS_SMOKE = PYTHONPATH=src python -m repro run E17 --quick --set sizes=60,120 --set num_graphs=2 --corpus-dir .ci-corpus
+CORPUS_JOBS = 1
 
 ci: ci-numpy ci-no-numpy
 
 ci-numpy:
 	$(PYTEST) -x -q
 	$(MAKE) --no-print-directory ci-smoke
+	$(MAKE) --no-print-directory ci-corpus-smoke CORPUS_JOBS=1
+	$(MAKE) --no-print-directory ci-corpus-smoke CORPUS_JOBS=2
+	@$(NUMPY_SHIM)
+	PYTHONPATH=src python -m repro run E1,E3 --quick > .ci-fast.log
+	PYTHONPATH=$(NO_NUMPY):src python -m repro run E1,E3 --quick > .ci-serial.log
+	cmp .ci-fast.log .ci-serial.log
+	rm -rf $(NO_NUMPY) .ci-fast.log .ci-serial.log
+
+ci-corpus-smoke:
 	rm -rf .ci-corpus
-	$(CORPUS_SMOKE) | tee .ci-corpus-cold.log
+	$(CORPUS_SMOKE) --jobs $(CORPUS_JOBS) | tee .ci-corpus-cold.log
 	grep -q "corpus: 0 hits, 4 misses" .ci-corpus-cold.log
-	$(CORPUS_SMOKE) | tee .ci-corpus-warm.log
+	$(CORPUS_SMOKE) --jobs $(CORPUS_JOBS) | tee .ci-corpus-warm.log
 	grep -q "corpus: 4 hits, 0 misses" .ci-corpus-warm.log
 	grep -v "^corpus:" .ci-corpus-cold.log > .ci-corpus-cold.trimmed
 	grep -v "^corpus:" .ci-corpus-warm.log > .ci-corpus-warm.trimmed
 	diff .ci-corpus-cold.trimmed .ci-corpus-warm.trimmed
 	PYTHONPATH=src python -m repro corpus verify .ci-corpus
 	rm -rf .ci-corpus .ci-corpus-cold.log .ci-corpus-warm.log .ci-corpus-cold.trimmed .ci-corpus-warm.trimmed
-	@$(NUMPY_SHIM)
-	PYTHONPATH=src python -m repro run E1,E3 --quick > .ci-fast.log
-	PYTHONPATH=$(NO_NUMPY):src python -m repro run E1,E3 --quick > .ci-serial.log
-	cmp .ci-fast.log .ci-serial.log
-	rm -rf $(NO_NUMPY) .ci-fast.log .ci-serial.log
 
 ci-no-numpy:
 	@$(NUMPY_SHIM)

@@ -811,8 +811,9 @@ def _requested_ids(text: str) -> Optional[List[str]]:
 def _print_corpus_stats() -> None:
     """Report this run's corpus hit/miss tally (if a corpus is active).
 
-    The tally is process-local: with ``--jobs`` > 1 the workers'
-    lookups are not counted here, only the parent's.
+    The tally covers every process of the run: with ``--jobs`` > 1
+    each worker's lookups ride back with its trial results and are
+    merged into the parent's tally.
     """
     from repro.graphs.corpus import active_corpus, corpus_stats
 
@@ -827,9 +828,9 @@ def _print_corpus_stats() -> None:
 def _print_store_stats(args) -> None:
     """Report this run's store hit/miss tally (if a store is active).
 
-    Same contract as the corpus tally: process-local, so with
-    ``--jobs`` > 1 only the parent's replay scan is counted (which is
-    where all lookups happen — workers only execute misses).
+    The tally is the parent process's, and that is complete at any
+    ``--jobs``: every store lookup happens in the parent's replay
+    scan, and workers only execute the misses.
     """
     from repro.runner import store_stats
 

@@ -8,9 +8,10 @@
   typed param schemas, capability declarations, and the
   :class:`~repro.core.registry.ExecutionContext` carrying the resolved
   jobs/store/mode axes once per run;
-* :mod:`repro.core.experiments` — the registered experiments E1–E20
-  that regenerate every table/figure of the reproduction (plus their
-  thin public wrappers);
+* :mod:`repro.core.experiments` — the registered experiments E1–E22
+  that regenerate every table/figure of the reproduction, each
+  declared once (the registry generates its public ``e<n>_...``
+  function);
 * :mod:`repro.core.results` — printable tables and JSON records;
 * :mod:`repro.core.sweep` — parameter-grid helpers.
 """

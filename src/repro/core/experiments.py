@@ -1,27 +1,28 @@
-"""Named experiments E1–E20 (see DESIGN.md's index).
+"""Named experiments E1–E22 (README: "How to reproduce each table?").
 
 Each experiment regenerates one "table/figure" of the reproduction: it
 runs the workload, folds measurements into printable
 :class:`~repro.core.results.Table` rows, and records headline scalars
-in ``derived`` for tests and EXPERIMENTS.md.  Benchmarks call these
-with small default grids (laptop-scale, seconds-to-minutes); the CLI
-exposes size overrides for larger runs.
+in ``derived`` for tests and the README's reproduction index.  The
+default grids are laptop-scale (seconds to minutes); the CLI exposes
+size overrides for larger runs.
 
-Experiments are *registered specs* (:mod:`repro.core.registry`): each
-body declares its typed parameter schema and the execution
-capabilities it supports — ``jobs`` (worker fan-out), ``cache``
-(persistent trial store), ``mode`` (independent vs trajectory-coupled
-scaling sweeps), ``store`` (trial-store layout) — and receives one
-:class:`~repro.core.registry.ExecutionContext` instead of five
-copy-pasted kwargs.  The search engine, graph generator and graph form
-are not axes: the trial layer picks the fastest bit-identical kernels
-(:func:`repro.core.trials.resolve_kernels`) and searches frozen CSR
-snapshots.  The public
-``e1_mori_weak(...)``-style wrappers below are thin registry delegates
-with the historical signatures, so every pin in
+Each experiment is declared once, as a *registered spec*
+(:mod:`repro.core.registry`): the declaration names its typed
+parameter schema and the execution capabilities it supports — ``jobs``
+(worker fan-out), ``cache`` (persistent trial store), ``mode``
+(independent vs trajectory-coupled scaling sweeps), ``store``
+(trial-store layout).  Its body is defined under the public name
+(``e1_mori_weak``) and receives one
+:class:`~repro.core.registry.ExecutionContext` plus the
+:class:`~repro.core.results.ExperimentResult` whose header the spec
+already filled in; the registry turns the declaration into the public
+function with the historical signature, so every pin in
 ``tests/test_experiment_regression.py`` (and every downstream caller)
-keeps working bit-identically; ``tests/test_registry.py`` asserts
-wrapper/spec parity.
+keeps working bit-identically.  The search engine, graph generator
+and graph form are not axes: the trial layer picks the fastest
+bit-identical kernels (:func:`repro.core.trials.resolve_kernels`) and
+searches frozen CSR snapshots.
 
 Every experiment takes an explicit ``seed`` so a published number can
 be regenerated bit-for-bit.  The Monte-Carlo-heavy experiments
@@ -35,7 +36,7 @@ trials across invocations.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.analysis.diameter import estimate_diameter
 from repro.analysis.scaling import (
@@ -62,9 +63,8 @@ from repro.core.registry import (
     STR,
     Param,
     REGISTRY,
-    run_experiment,
 )
-from repro.core.results import ExperimentResult, Table
+from repro.core.results import Table
 from repro.errors import ExperimentError
 from repro.core.trials import (
     churn_search_trial,
@@ -109,32 +109,6 @@ from repro.search.algorithms import (
     percolation_query,
     replicate_content,
 )
-
-__all__ = [
-    "e1_mori_weak",
-    "e2_mori_strong",
-    "e3_cooper_frieze",
-    "e4_event_probability",
-    "e5_max_degree",
-    "e6_degree_distribution",
-    "e7_adamic",
-    "e8_kleinberg",
-    "e9_diameter_vs_search",
-    "e10_equivalence_exact",
-    "e11_lemma1_floor",
-    "e12_percolation",
-    "e13_ablation_p",
-    "e14_ablation_m",
-    "e15_cf_equivalence",
-    "e16_neighbor_dependence",
-    "e17_simulation_slowdown",
-    "e18_start_rule",
-    "e19_trajectory_scaling",
-    "e20_cross_model",
-    "e21_churn_search",
-    "e22_giant_survival",
-    "ALL_EXPERIMENTS",
-]
 
 
 def _scaling_table(
@@ -199,7 +173,15 @@ def _exponent_table(measurement, algorithms: Sequence[str]) -> Table:
         Param("seed", INT, 1),
     ),
 )
-def _e1_body(ctx, *, sizes, p, m, num_graphs, runs_per_graph, seed):
+def e1_mori_weak(
+    ctx, result, *, sizes, p, m, num_graphs, runs_per_graph, seed
+):
+    """E1: every weak-model algorithm respects the Ω(√n) floor on Móri graphs.
+
+    Sweeps graph size, measures mean requests for the weak portfolio
+    plus the omniscient baseline, fits per-algorithm exponents, and
+    overlays the concrete Theorem 1 floor ``⌊√(n-2)⌋ P(E)/2``.
+    """
     family = MoriFamily(p=p, m=m)
     measurement = ctx.measure_scaling(
         family,
@@ -215,18 +197,6 @@ def _e1_body(ctx, *, sizes, p, m, num_graphs, runs_per_graph, seed):
 
         return theorem1_weak_bound(theorem_target_for_size(size), p)
 
-    result = ExperimentResult(
-        experiment_id="E1",
-        title="Weak-model search cost on merged Mori graphs (Theorem 1)",
-        params={
-            "sizes": list(sizes),
-            "p": p,
-            "m": m,
-            "num_graphs": num_graphs,
-            "runs_per_graph": runs_per_graph,
-            "seed": seed,
-        },
-    )
     algorithms = sorted(measurement.cells[measurement.sizes[0]].summaries)
     result.tables.append(
         _scaling_table(
@@ -246,38 +216,6 @@ def _e1_body(ctx, *, sizes, p, m, num_graphs, runs_per_graph, seed):
             measurement.cells[largest].summaries[name].mean_requests
         )
     result.derived["floor@largest"] = bound(measurement.sizes[-1])
-    return result
-
-
-def e1_mori_weak(
-    sizes: Sequence[int] = (200, 400, 800, 1600),
-    p: float = 0.5,
-    m: int = 1,
-    num_graphs: int = 5,
-    runs_per_graph: int = 2,
-    seed: int = 1,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E1: every weak-model algorithm respects the Ω(√n) floor on Móri graphs.
-
-    Sweeps graph size, measures mean requests for the weak portfolio
-    plus the omniscient baseline, fits per-algorithm exponents, and
-    overlays the concrete Theorem 1 floor ``⌊√(n-2)⌋ P(E)/2``.
-    """
-    return run_experiment(
-        "E1",
-        sizes=sizes,
-        p=p,
-        m=m,
-        num_graphs=num_graphs,
-        runs_per_graph=runs_per_graph,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        store_backend=store_backend,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -299,9 +237,10 @@ def e1_mori_weak(
         Param("seed", INT, 2),
     ),
 )
-def _e2_body(
-    ctx, *, sizes, p, m, epsilon, num_graphs, runs_per_graph, seed
+def e2_mori_strong(
+    ctx, result, *, sizes, p, m, epsilon, num_graphs, runs_per_graph, seed
 ):
+    """E2: strong-model algorithms respect Ω(n^{1/2-p-eps}) for p < 1/2."""
     family = MoriFamily(p=p, m=m)
     measurement = ctx.measure_scaling(
         family,
@@ -319,19 +258,6 @@ def _e2_body(
             theorem_target_for_size(size), p, epsilon
         )
 
-    result = ExperimentResult(
-        experiment_id="E2",
-        title="Strong-model search cost on Mori graphs (Theorem 1, p<1/2)",
-        params={
-            "sizes": list(sizes),
-            "p": p,
-            "m": m,
-            "epsilon": epsilon,
-            "num_graphs": num_graphs,
-            "runs_per_graph": runs_per_graph,
-            "seed": seed,
-        },
-    )
     algorithms = sorted(measurement.cells[measurement.sizes[0]].summaries)
     result.tables.append(
         _scaling_table(
@@ -347,35 +273,6 @@ def _e2_body(
             name
         )
     result.derived["floor_exponent"] = 0.5 - p - epsilon
-    return result
-
-
-def e2_mori_strong(
-    sizes: Sequence[int] = (200, 400, 800, 1600),
-    p: float = 0.25,
-    m: int = 1,
-    epsilon: float = 0.05,
-    num_graphs: int = 5,
-    runs_per_graph: int = 2,
-    seed: int = 2,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E2: strong-model algorithms respect Ω(n^{1/2-p-eps}) for p < 1/2."""
-    return run_experiment(
-        "E2",
-        sizes=sizes,
-        p=p,
-        m=m,
-        epsilon=epsilon,
-        num_graphs=num_graphs,
-        runs_per_graph=runs_per_graph,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        store_backend=store_backend,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -395,7 +292,10 @@ def e2_mori_strong(
         Param("seed", INT, 3),
     ),
 )
-def _e3_body(ctx, *, sizes, alpha, num_graphs, runs_per_graph, seed):
+def e3_cooper_frieze(
+    ctx, result, *, sizes, alpha, num_graphs, runs_per_graph, seed
+):
+    """E3: the Ω(√n) floor holds in the Cooper–Frieze model (Theorem 2)."""
     params = CooperFriezeParams(alpha=alpha)
     family = CooperFriezeFamily(params=params)
     measurement = ctx.measure_scaling(
@@ -414,17 +314,6 @@ def _e3_body(ctx, *, sizes, alpha, num_graphs, runs_per_graph, seed):
             theorem_target_for_size(size), alpha
         )
 
-    result = ExperimentResult(
-        experiment_id="E3",
-        title="Weak-model search cost on Cooper-Frieze graphs (Theorem 2)",
-        params={
-            "sizes": list(sizes),
-            "alpha": alpha,
-            "num_graphs": num_graphs,
-            "runs_per_graph": runs_per_graph,
-            "seed": seed,
-        },
-    )
     algorithms = sorted(measurement.cells[measurement.sizes[0]].summaries)
     result.tables.append(
         _scaling_table(
@@ -439,31 +328,6 @@ def _e3_body(ctx, *, sizes, alpha, num_graphs, runs_per_graph, seed):
         result.derived[f"exponent/{name}"] = measurement.fitted_exponent(
             name
         )
-    return result
-
-
-def e3_cooper_frieze(
-    sizes: Sequence[int] = (200, 400, 800, 1600),
-    alpha: float = 0.75,
-    num_graphs: int = 4,
-    runs_per_graph: int = 2,
-    seed: int = 3,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E3: the Ω(√n) floor holds in the Cooper–Frieze model (Theorem 2)."""
-    return run_experiment(
-        "E3",
-        sizes=sizes,
-        alpha=alpha,
-        num_graphs=num_graphs,
-        runs_per_graph=runs_per_graph,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        store_backend=store_backend,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -481,17 +345,10 @@ def e3_cooper_frieze(
         Param("seed", INT, 4),
     ),
 )
-def _e4_body(ctx, *, a_values, p_values, num_samples, seed):
-    result = ExperimentResult(
-        experiment_id="E4",
-        title="Event probability P(E_{a,b}) vs the Lemma 3 bound",
-        params={
-            "a_values": list(a_values),
-            "p_values": list(p_values),
-            "num_samples": num_samples,
-            "seed": seed,
-        },
-    )
+def e4_event_probability(
+    ctx, result, *, a_values, p_values, num_samples, seed
+):
+    """E4: exact and Monte-Carlo P(E_{a,b}) vs Lemma 3's e^{-(1-p)} bound."""
     table = Table(
         title="P(E_{a,b}) with b = a + floor(sqrt(a-1))",
         columns=(
@@ -523,23 +380,6 @@ def _e4_body(ctx, *, a_values, p_values, num_samples, seed):
     )
     result.tables.append(table)
     result.derived["min_margin_exact_minus_bound"] = min_margin
-    return result
-
-
-def e4_event_probability(
-    a_values: Sequence[int] = (10, 50, 100, 400, 1000),
-    p_values: Sequence[float] = (0.1, 0.25, 0.5, 0.75, 1.0),
-    num_samples: int = 2000,
-    seed: int = 4,
-) -> ExperimentResult:
-    """E4: exact and Monte-Carlo P(E_{a,b}) vs Lemma 3's e^{-(1-p)} bound."""
-    return run_experiment(
-        "E4",
-        a_values=a_values,
-        p_values=p_values,
-        num_samples=num_samples,
-        seed=seed,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -557,18 +397,9 @@ def e4_event_probability(
         Param("seed", INT, 5),
     ),
 )
-def _e5_body(ctx, *, n, p_values, num_trees, seed):
+def e5_max_degree(ctx, result, *, n, p_values, num_trees, seed):
+    """E5: Móri max degree grows like t^p; BA grows like t^{1/2}."""
     checkpoints = _geometric_checkpoints(64, n)
-    result = ExperimentResult(
-        experiment_id="E5",
-        title="Maximum degree growth: Mori t^p vs Barabasi-Albert t^{1/2}",
-        params={
-            "n": n,
-            "p_values": list(p_values),
-            "num_trees": num_trees,
-            "seed": seed,
-        },
-    )
     table = Table(
         title="Fitted max-degree exponents",
         columns=("model", "parameter", "fitted exponent", "theory"),
@@ -606,19 +437,6 @@ def _e5_body(ctx, *, n, p_values, num_trees, seed):
         "when max degree << n^{1/2}, i.e. for Mori p < 1/2."
     )
     result.tables.append(table)
-    return result
-
-
-def e5_max_degree(
-    n: int = 20000,
-    p_values: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
-    num_trees: int = 5,
-    seed: int = 5,
-) -> ExperimentResult:
-    """E5: Móri max degree grows like t^p; BA grows like t^{1/2}."""
-    return run_experiment(
-        "E5", n=n, p_values=p_values, num_trees=num_trees, seed=seed
-    )
 
 
 def _geometric_checkpoints(first: int, last: int) -> list:
@@ -645,12 +463,8 @@ def _geometric_checkpoints(first: int, last: int) -> list:
         Param("seed", INT, 6),
     ),
 )
-def _e6_body(ctx, *, n, seed):
-    result = ExperimentResult(
-        experiment_id="E6",
-        title="Degree distributions: scale-free models vs Kleinberg lattice",
-        params={"n": n, "seed": seed},
-    )
+def e6_degree_distribution(ctx, result, *, n, seed):
+    """E6: evolving models are power-law; Kleinberg's lattice is not."""
     table = Table(
         title="Discrete power-law MLE on degree sequences",
         columns=(
@@ -710,25 +524,6 @@ def _e6_body(ctx, *, n, seed):
         "and/or KS distance."
     )
     result.tables.append(table)
-    return result
-
-
-def e6_degree_distribution(
-    n: int = 20000,
-    seed: int = 6,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E6: evolving models are power-law; Kleinberg's lattice is not."""
-    return run_experiment(
-        "E6",
-        n=n,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        store_backend=store_backend,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -748,7 +543,20 @@ def e6_degree_distribution(
         Param("seed", INT, 7),
     ),
 )
-def _e7_body(ctx, *, sizes, exponent, num_graphs, runs_per_graph, seed):
+def e7_adamic(
+    ctx, result, *, sizes, exponent, num_graphs, runs_per_graph, seed
+):
+    """E7: high-degree search beats the random walk on power-law graphs.
+
+    Adamic et al. predict mean cost ``~ n^{2(1-2/k)}`` for degree-greedy
+    and ``~ n^{3(1-2/k)}`` for the walk; the reproducible shape is the
+    *ordering* and the growth gap.
+
+    Uses Adamic's knowledge model (``neighbor_success=True``): a search
+    succeeds once a visited vertex is within distance 2 of the target,
+    matching their "nodes know their second neighbors" assumption from
+    which the quoted exponents are derived.
+    """
     family = ConfigurationFamily(exponent=exponent, min_degree=1)
     measurement = ctx.measure_scaling(
         family,
@@ -762,17 +570,6 @@ def _e7_body(ctx, *, sizes, exponent, num_graphs, runs_per_graph, seed):
     predicted_greedy = 2.0 * (1.0 - 2.0 / exponent)
     predicted_walk = 3.0 * (1.0 - 2.0 / exponent)
 
-    result = ExperimentResult(
-        experiment_id="E7",
-        title="Adamic et al. search on power-law configuration graphs",
-        params={
-            "sizes": list(sizes),
-            "exponent": exponent,
-            "num_graphs": num_graphs,
-            "runs_per_graph": runs_per_graph,
-            "seed": seed,
-        },
-    )
     table = Table(
         title=f"Requests on config(k={exponent:g}) giant components",
         columns=(
@@ -826,41 +623,6 @@ def _e7_body(ctx, *, sizes, exponent, num_graphs, runs_per_graph, seed):
         result.derived[f"mean@largest/{name}"] = (
             measurement.cells[largest].summaries[name].mean_requests
         )
-    return result
-
-
-def e7_adamic(
-    sizes: Sequence[int] = (400, 800, 1600, 3200),
-    exponent: float = 2.5,
-    num_graphs: int = 4,
-    runs_per_graph: int = 2,
-    seed: int = 7,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E7: high-degree search beats the random walk on power-law graphs.
-
-    Adamic et al. predict mean cost ``~ n^{2(1-2/k)}`` for degree-greedy
-    and ``~ n^{3(1-2/k)}`` for the walk; the reproducible shape is the
-    *ordering* and the growth gap.
-
-    Uses Adamic's knowledge model (``neighbor_success=True``): a search
-    succeeds once a visited vertex is within distance 2 of the target,
-    matching their "nodes know their second neighbors" assumption from
-    which the quoted exponents are derived.
-    """
-    return run_experiment(
-        "E7",
-        sizes=sizes,
-        exponent=exponent,
-        num_graphs=num_graphs,
-        runs_per_graph=runs_per_graph,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        store_backend=store_backend,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -882,17 +644,8 @@ def e7_adamic(
         Param("seed", INT, 8),
     ),
 )
-def _e8_body(ctx, *, sides, r_values, pairs_per_grid, seed):
-    result = ExperimentResult(
-        experiment_id="E8",
-        title="Greedy routing on Kleinberg small-worlds (navigable contrast)",
-        params={
-            "sides": list(sides),
-            "r_values": list(r_values),
-            "pairs_per_grid": pairs_per_grid,
-            "seed": seed,
-        },
-    )
+def e8_kleinberg(ctx, result, *, sides, r_values, pairs_per_grid, seed):
+    """E8: greedy routing is poly-log at r=2 and polynomial elsewhere."""
     table = Table(
         title="Mean greedy-routing hops",
         columns=("r", "side", "n", "mean hops"),
@@ -919,23 +672,6 @@ def _e8_body(ctx, *, sides, r_values, pairs_per_grid, seed):
         "(exponent bounded away from 0) for r far from 2."
     )
     result.tables.append(table)
-    return result
-
-
-def e8_kleinberg(
-    sides: Sequence[int] = (10, 16, 24, 36, 50),
-    r_values: Sequence[float] = (0.0, 1.0, 2.0, 3.0, 4.0),
-    pairs_per_grid: int = 20,
-    seed: int = 8,
-) -> ExperimentResult:
-    """E8: greedy routing is poly-log at r=2 and polynomial elsewhere."""
-    return run_experiment(
-        "E8",
-        sides=sides,
-        r_values=r_values,
-        pairs_per_grid=pairs_per_grid,
-        seed=seed,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -955,20 +691,15 @@ def e8_kleinberg(
         Param("seed", INT, 9),
     ),
 )
-def _e9_body(ctx, *, sizes, p, m, num_graphs, seed):
+def e9_diameter_vs_search(ctx, result, *, sizes, p, m, num_graphs, seed):
+    """E9: O(log n) diameter yet polynomial search cost (the headline).
+
+    The search cells run on frozen snapshots like every other
+    search-running experiment; the diameter estimate walks
+    the freshly built graph directly (it is BFS-bound either way).
+    """
     family = MoriFamily(p=p, m=m)
 
-    result = ExperimentResult(
-        experiment_id="E9",
-        title="Diameter vs search cost on merged Mori graphs",
-        params={
-            "sizes": list(sizes),
-            "p": p,
-            "m": m,
-            "num_graphs": num_graphs,
-            "seed": seed,
-        },
-    )
     table = Table(
         title=f"Diameter and search cost, {family.name}",
         columns=("n", "mean diameter", "mean search requests"),
@@ -1019,36 +750,6 @@ def _e9_body(ctx, *, sizes, p, m, num_graphs, seed):
     result.derived["diameter_prefers_log"] = float(
         prefers_logarithmic(xs, diameters)
     )
-    return result
-
-
-def e9_diameter_vs_search(
-    sizes: Sequence[int] = (200, 400, 800, 1600),
-    p: float = 0.5,
-    m: int = 2,
-    num_graphs: int = 4,
-    seed: int = 9,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E9: O(log n) diameter yet polynomial search cost (the headline).
-
-    The search cells run on frozen snapshots like every other
-    search-running experiment; the diameter estimate walks
-    the freshly built graph directly (it is BFS-bound either way).
-    """
-    return run_experiment(
-        "E9",
-        sizes=sizes,
-        p=p,
-        m=m,
-        num_graphs=num_graphs,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        store_backend=store_backend,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -1064,12 +765,8 @@ def e9_diameter_vs_search(
         Param("p_values", FLOAT_TUPLE, (0.25, 0.5, 0.75, 1.0)),
     ),
 )
-def _e10_body(ctx, *, n, p_values):
-    result = ExperimentResult(
-        experiment_id="E10",
-        title="Exact Lemma 2 verification (Fraction arithmetic)",
-        params={"n": n, "p_values": list(p_values)},
-    )
+def e10_equivalence_exact(ctx, result, *, n, p_values):
+    """E10: exhaustive exact verification of Lemma 2 at small n."""
     table = Table(
         title=f"All recursive trees on n={n} vertices",
         columns=(
@@ -1101,15 +798,6 @@ def _e10_body(ctx, *, n, p_values):
             all_hold = all_hold and report.holds
     result.tables.append(table)
     result.derived["all_windows_hold"] = float(all_hold)
-    return result
-
-
-def e10_equivalence_exact(
-    n: int = 7,
-    p_values: Sequence[float] = (0.25, 0.5, 0.75, 1.0),
-) -> ExperimentResult:
-    """E10: exhaustive exact verification of Lemma 2 at small n."""
-    return run_experiment("E10", n=n, p_values=p_values)
 
 
 # ----------------------------------------------------------------------
@@ -1129,7 +817,10 @@ def e10_equivalence_exact(
         Param("seed", INT, 11),
     ),
 )
-def _e11_body(ctx, *, sizes, p, num_graphs, runs_per_graph, seed):
+def e11_lemma1_floor(
+    ctx, result, *, sizes, p, num_graphs, runs_per_graph, seed
+):
+    """E11: measured costs sit above the Lemma-1 floor; omniscient ~ Θ(√n)."""
     family = MoriFamily(p=p, m=1)
     measurement = ctx.measure_scaling(
         family,
@@ -1140,17 +831,6 @@ def _e11_body(ctx, *, sizes, p, num_graphs, runs_per_graph, seed):
         seed=seed,
     )
 
-    result = ExperimentResult(
-        experiment_id="E11",
-        title="Lemma 1 floor vs measured costs; tightness via omniscient",
-        params={
-            "sizes": list(sizes),
-            "p": p,
-            "num_graphs": num_graphs,
-            "runs_per_graph": runs_per_graph,
-            "seed": seed,
-        },
-    )
     table = Table(
         title="Measured mean requests vs the exact Lemma-1 floor",
         columns=("n", "algorithm", "mean requests", "floor", "ratio"),
@@ -1177,31 +857,6 @@ def _e11_body(ctx, *, sizes, p, num_graphs, runs_per_graph, seed):
     result.derived["omniscient_exponent"] = measurement.fitted_exponent(
         "omniscient-window"
     )
-    return result
-
-
-def e11_lemma1_floor(
-    sizes: Sequence[int] = (200, 400, 800, 1600),
-    p: float = 0.5,
-    num_graphs: int = 5,
-    runs_per_graph: int = 2,
-    seed: int = 11,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E11: measured costs sit above the Lemma-1 floor; omniscient ~ Θ(√n)."""
-    return run_experiment(
-        "E11",
-        sizes=sizes,
-        p=p,
-        num_graphs=num_graphs,
-        runs_per_graph=runs_per_graph,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        store_backend=store_backend,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -1223,33 +878,16 @@ def e11_lemma1_floor(
         Param("seed", INT, 12),
     ),
 )
-def _e12_body(
-    ctx,
-    *,
-    n,
-    exponent,
-    replica_counts,
-    broadcast_probability,
-    num_queries,
-    seed,
+def e12_percolation(
+    ctx, result, *, n, exponent, replica_counts, broadcast_probability,
+    num_queries, seed
 ):
+    """E12: replication turns broadcast search sublinear (Sarshar et al.)."""
     family = ConfigurationFamily(exponent=exponent, min_degree=2)
     graph = freeze(family.build(n, seed=substream(seed, 0)))
     rng = make_rng(substream(seed, 1))
 
-    result = ExperimentResult(
-        experiment_id="E12",
-        title="Percolation search with content replication",
-        params={
-            "n": n,
-            "giant_n": graph.num_vertices,
-            "exponent": exponent,
-            "replica_counts": list(replica_counts),
-            "broadcast_probability": broadcast_probability,
-            "num_queries": num_queries,
-            "seed": seed,
-        },
-    )
+    result.params["giant_n"] = graph.num_vertices
     table = Table(
         title="Hit rate and message cost vs replication factor",
         columns=(
@@ -1298,27 +936,6 @@ def _e12_body(
         "cost — the paper's cited P2P workaround for non-searchability."
     )
     result.tables.append(table)
-    return result
-
-
-def e12_percolation(
-    n: int = 4000,
-    exponent: float = 2.3,
-    replica_counts: Sequence[int] = (0, 4, 16, 64),
-    broadcast_probability: float = 0.25,
-    num_queries: int = 30,
-    seed: int = 12,
-) -> ExperimentResult:
-    """E12: replication turns broadcast search sublinear (Sarshar et al.)."""
-    return run_experiment(
-        "E12",
-        n=n,
-        exponent=exponent,
-        replica_counts=replica_counts,
-        broadcast_probability=broadcast_probability,
-        num_queries=num_queries,
-        seed=seed,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -1337,17 +954,8 @@ def e12_percolation(
         Param("seed", INT, 13),
     ),
 )
-def _e13_body(ctx, *, sizes, p_values, num_graphs, seed):
-    result = ExperimentResult(
-        experiment_id="E13",
-        title="Ablation: attachment mixture p vs searchability",
-        params={
-            "sizes": list(sizes),
-            "p_values": list(p_values),
-            "num_graphs": num_graphs,
-            "seed": seed,
-        },
-    )
+def e13_ablation_p(ctx, result, *, sizes, p_values, num_graphs, seed):
+    """E13: the √n floor is insensitive to the attachment mixture p."""
     table = Table(
         title="High-degree weak search cost across p",
         columns=("p", "n", "mean requests", "fitted exponent"),
@@ -1378,29 +986,6 @@ def _e13_body(ctx, *, sizes, p_values, num_graphs, seed):
         "included as an out-of-theorem ablation."
     )
     result.tables.append(table)
-    return result
-
-
-def e13_ablation_p(
-    sizes: Sequence[int] = (200, 400, 800),
-    p_values: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
-    num_graphs: int = 4,
-    seed: int = 13,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E13: the √n floor is insensitive to the attachment mixture p."""
-    return run_experiment(
-        "E13",
-        sizes=sizes,
-        p_values=p_values,
-        num_graphs=num_graphs,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        store_backend=store_backend,
-    )
 
 
 @REGISTRY.register(
@@ -1415,18 +1000,8 @@ def e13_ablation_p(
         Param("seed", INT, 14),
     ),
 )
-def _e14_body(ctx, *, sizes, m_values, p, num_graphs, seed):
-    result = ExperimentResult(
-        experiment_id="E14",
-        title="Ablation: merge arity m vs searchability",
-        params={
-            "sizes": list(sizes),
-            "m_values": list(m_values),
-            "p": p,
-            "num_graphs": num_graphs,
-            "seed": seed,
-        },
-    )
+def e14_ablation_m(ctx, result, *, sizes, m_values, p, num_graphs, seed):
+    """E14: the √n floor holds for every merge arity m (Theorem 1)."""
     table = Table(
         title="High-degree weak search cost across m",
         columns=("m", "n", "mean requests", "fitted exponent"),
@@ -1453,31 +1028,6 @@ def _e14_body(ctx, *, sizes, m_values, p, num_graphs, seed):
             )
         result.derived[f"exponent/m={m}"] = exponent
     result.tables.append(table)
-    return result
-
-
-def e14_ablation_m(
-    sizes: Sequence[int] = (200, 400, 800),
-    m_values: Sequence[int] = (1, 2, 4, 8),
-    p: float = 0.5,
-    num_graphs: int = 4,
-    seed: int = 14,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E14: the √n floor holds for every merge arity m (Theorem 1)."""
-    return run_experiment(
-        "E14",
-        sizes=sizes,
-        m_values=m_values,
-        p=p,
-        num_graphs=num_graphs,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        store_backend=store_backend,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -1495,7 +1045,17 @@ def e14_ablation_m(
         Param("seed", INT, 15),
     ),
 )
-def _e15_body(ctx, *, sizes, alpha, num_samples, seed):
+def e15_cf_equivalence(ctx, result, *, sizes, alpha, num_samples, seed):
+    """E15: a Θ(√n) untouched window exists in CF graphs w.p. Ω(1).
+
+    The paper proves Theorem 2 "the same way" as Theorem 1, from the
+    existence of a set of Θ(√n) equivalent vertices; this experiment
+    exhibits that set: the probability that the theorem-style window
+    is untouched (every member born by a single NEW edge below the
+    window, never touched again) stays bounded away from 0 as n grows,
+    and conditional on the event the per-position parent-degree profile
+    is flat (exchangeability).
+    """
     from repro.core.families import theorem_target_for_size
     from repro.equivalence.cooper_frieze import (
         estimate_untouched_probability,
@@ -1503,16 +1063,6 @@ def _e15_body(ctx, *, sizes, alpha, num_samples, seed):
     )
 
     params = CooperFriezeParams(alpha=alpha)
-    result = ExperimentResult(
-        experiment_id="E15",
-        title="Cooper-Frieze untouched equivalence window (Theorem 2)",
-        params={
-            "sizes": list(sizes),
-            "alpha": alpha,
-            "num_samples": num_samples,
-            "seed": seed,
-        },
-    )
     table = Table(
         title="P(window untouched) for the theorem-style sqrt window",
         columns=("n", "a", "b", "|V|", "P(untouched)"),
@@ -1558,32 +1108,6 @@ def _e15_body(ctx, *, sizes, alpha, num_samples, seed):
     result.derived["min_p_untouched"] = min(probabilities)
     result.derived["profile_spread"] = profile.spread
     result.derived["profile_event_rate"] = profile.event_rate
-    return result
-
-
-def e15_cf_equivalence(
-    sizes: Sequence[int] = (100, 200, 400, 800),
-    alpha: float = 0.75,
-    num_samples: int = 400,
-    seed: int = 15,
-) -> ExperimentResult:
-    """E15: a Θ(√n) untouched window exists in CF graphs w.p. Ω(1).
-
-    The paper proves Theorem 2 "the same way" as Theorem 1, from the
-    existence of a set of Θ(√n) equivalent vertices; this experiment
-    exhibits that set: the probability that the theorem-style window
-    is untouched (every member born by a single NEW edge below the
-    window, never touched again) stays bounded away from 0 as n grows,
-    and conditional on the event the per-position parent-degree profile
-    is flat (exchangeability).
-    """
-    return run_experiment(
-        "E15",
-        sizes=sizes,
-        alpha=alpha,
-        num_samples=num_samples,
-        seed=seed,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -1599,17 +1123,19 @@ def e15_cf_equivalence(
         Param("seed", INT, 16),
     ),
 )
-def _e16_body(ctx, *, n, seed):
+def e16_neighbor_dependence(ctx, result, *, n, seed):
+    """E16: neighbor degrees correlate in evolving models, not in pure ones.
+
+    The paper's "Related works" distinction: in Molloy–Reed graphs
+    neighbor degrees are independent; in evolving models degree and age
+    are positively correlated, so neighbor degrees are not — "a real
+    difference whenever we aim at analysing a search process".
+    """
     from repro.analysis.correlation import (
         age_degree_correlation,
         degree_assortativity,
     )
 
-    result = ExperimentResult(
-        experiment_id="E16",
-        title="Neighbor-degree dependence: evolving vs pure random graphs",
-        params={"n": n, "seed": seed},
-    )
     table = Table(
         title="Degree correlations",
         columns=(
@@ -1657,21 +1183,6 @@ def _e16_body(ctx, *, n, seed):
         "arbitrary: age-degree correlation ~ 0."
     )
     result.tables.append(table)
-    return result
-
-
-def e16_neighbor_dependence(
-    n: int = 5000,
-    seed: int = 16,
-) -> ExperimentResult:
-    """E16: neighbor degrees correlate in evolving models, not in pure ones.
-
-    The paper's "Related works" distinction: in Molloy–Reed graphs
-    neighbor degrees are independent; in evolving models degree and age
-    are positively correlated, so neighbor degrees are not — "a real
-    difference whenever we aim at analysing a search process".
-    """
-    return run_experiment("E16", n=n, seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -1690,20 +1201,34 @@ def e16_neighbor_dependence(
         Param("seed", INT, 17),
     ),
 )
-def _e17_body(ctx, *, sizes, p, num_graphs, seed):
+def e17_simulation_slowdown(ctx, result, *, sizes, p, num_graphs, seed):
+    """E17: weak simulation of a strong algorithm pays <= max-degree slowdown.
+
+    The strong-model half of Theorem 1 rests on simulating any strong
+    algorithm in the weak model by expanding each strong request into
+    weak requests on all incident edges — a slowdown of at most the
+    maximum degree.  This experiment runs the high-degree strong
+    searcher both natively and through the simulation adapter on the
+    same Móri instances and checks the inequality
+
+        weak_requests  <=  strong_requests * max_degree
+
+    instance by instance (the inner algorithm is deterministic, so
+    this is an exact check, not a statistical one).
+
+    ``mode='trajectory'`` evolves each of the ``num_graphs``
+    realisations once to ``max(sizes)`` and serves every size cell
+    from the checkpoint snapshots (one construction pass per
+    realisation instead of ``Σ nᵢ``); the default keeps the fully
+    independent per-size realisations the existing pins replay.
+    Because the checkpoints of one realisation form a set, trajectory
+    mode canonicalises ``sizes`` (sorted, de-duplicated) — one row per
+    distinct size — whereas independent mode keeps one row per grid
+    position, repeats and caller order included, exactly as before.
+    """
     mode = ctx.mode
+    result.params["mode"] = mode
     family = MoriFamily(p=p, m=1)
-    result = ExperimentResult(
-        experiment_id="E17",
-        title="Strong-to-weak simulation slowdown (Theorem 1, strong case)",
-        params={
-            "sizes": list(sizes),
-            "p": p,
-            "num_graphs": num_graphs,
-            "seed": seed,
-            "mode": mode,
-        },
-    )
     table = Table(
         title="Simulated weak cost vs strong cost x max degree",
         columns=(
@@ -1784,54 +1309,6 @@ def _e17_body(ctx, *, sizes, p, num_graphs, seed):
     )
     result.tables.append(table)
     result.derived["worst_ratio"] = worst_ratio
-    return result
-
-
-def e17_simulation_slowdown(
-    sizes: Sequence[int] = (200, 400, 800, 1600),
-    p: float = 0.25,
-    num_graphs: int = 5,
-    seed: int = 17,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    mode: str = "independent",
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E17: weak simulation of a strong algorithm pays <= max-degree slowdown.
-
-    The strong-model half of Theorem 1 rests on simulating any strong
-    algorithm in the weak model by expanding each strong request into
-    weak requests on all incident edges — a slowdown of at most the
-    maximum degree.  This experiment runs the high-degree strong
-    searcher both natively and through the simulation adapter on the
-    same Móri instances and checks the inequality
-
-        weak_requests  <=  strong_requests * max_degree
-
-    instance by instance (the inner algorithm is deterministic, so
-    this is an exact check, not a statistical one).
-
-    ``mode='trajectory'`` evolves each of the ``num_graphs``
-    realisations once to ``max(sizes)`` and serves every size cell
-    from the checkpoint snapshots (one construction pass per
-    realisation instead of ``Σ nᵢ``); the default keeps the fully
-    independent per-size realisations the existing pins replay.
-    Because the checkpoints of one realisation form a set, trajectory
-    mode canonicalises ``sizes`` (sorted, de-duplicated) — one row per
-    distinct size — whereas independent mode keeps one row per grid
-    position, repeats and caller order included, exactly as before.
-    """
-    return run_experiment(
-        "E17",
-        sizes=sizes,
-        p=p,
-        num_graphs=num_graphs,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        mode=mode,
-        store_backend=store_backend,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -1851,19 +1328,21 @@ def e17_simulation_slowdown(
         Param("seed", INT, 18),
     ),
 )
-def _e18_body(ctx, *, sizes, p, num_graphs, runs_per_graph, seed):
-    result = ExperimentResult(
-        experiment_id="E18",
-        title="Ablation: start-vertex rule vs searchability",
-        params={
-            "sizes": list(sizes),
-            "p": p,
-            "num_graphs": num_graphs,
-            "runs_per_graph": runs_per_graph,
-            "seed": seed,
-            "mode": ctx.mode,
-        },
-    )
+def e18_start_rule(ctx, result, *, sizes, p, num_graphs, runs_per_graph, seed):
+    """E18: the Ω(√n) floor is start-vertex independent.
+
+    Theorem 1 quantifies over the start ("starting from any vertex").
+    This ablation sweeps three start rules — the hub-adjacent oldest
+    vertex (searcher-favourable), a uniformly random vertex, and a
+    young peripheral vertex just below the equivalence window — and
+    checks that the fitted search exponent stays >= ~1/2 under all of
+    them.
+
+    ``mode='trajectory'`` serves each size sweep from checkpoint
+    snapshots of shared growth trajectories (see
+    :func:`repro.core.searchability.measure_scaling`).
+    """
+    result.params["mode"] = ctx.mode
     table = Table(
         title="High-degree weak search cost across start rules",
         columns=("start rule", "n", "mean requests", "fitted exponent"),
@@ -1897,45 +1376,6 @@ def _e18_body(ctx, *, sizes, p, num_graphs, runs_per_graph, seed):
         "(exponent -> 0) from some privileged start would contradict it."
     )
     result.tables.append(table)
-    return result
-
-
-def e18_start_rule(
-    sizes: Sequence[int] = (200, 400, 800, 1600),
-    p: float = 0.5,
-    num_graphs: int = 4,
-    runs_per_graph: int = 2,
-    seed: int = 18,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    mode: str = "independent",
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E18: the Ω(√n) floor is start-vertex independent.
-
-    Theorem 1 quantifies over the start ("starting from any vertex").
-    This ablation sweeps three start rules — the hub-adjacent oldest
-    vertex (searcher-favourable), a uniformly random vertex, and a
-    young peripheral vertex just below the equivalence window — and
-    checks that the fitted search exponent stays >= ~1/2 under all of
-    them.
-
-    ``mode='trajectory'`` serves each size sweep from checkpoint
-    snapshots of shared growth trajectories (see
-    :func:`repro.core.searchability.measure_scaling`).
-    """
-    return run_experiment(
-        "E18",
-        sizes=sizes,
-        p=p,
-        num_graphs=num_graphs,
-        runs_per_graph=runs_per_graph,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        mode=mode,
-        store_backend=store_backend,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -1962,9 +1402,29 @@ def e18_start_rule(
         Param("seed", INT, 19),
     ),
 )
-def _e19_body(
-    ctx, *, sizes, p, m, alpha, num_graphs, runs_per_graph, seed
+def e19_trajectory_scaling(
+    ctx, result, *, sizes, p, m, alpha, num_graphs, runs_per_graph, seed
 ):
+    """E19: request cost vs n measured *along* single evolving networks.
+
+    The scaling curves of E1/E3 sample an independent realisation per
+    size; this experiment instead follows the regime of dynamic P2P
+    overlays and resource-discovery systems — the network keeps
+    growing and searchability is re-measured on the *same* realisation
+    at checkpoint sizes.  Each of the ``num_graphs`` trajectories per
+    family (Móri and Cooper–Frieze) is evolved once to ``max(sizes)``,
+    the high-degree weak searcher is costed at every checkpoint, and
+    the per-size spread across trajectories gives the confidence band.
+    Marginally each checkpoint is an exact sample of the independent
+    per-size law (checkpoint snapshots are bit-identical to
+    independent same-seed builds), so the Ω(√n) floor applies
+    unchanged along the growth process.
+
+    ``mode`` exists so ``repro run E19 --mode trajectory`` composes
+    like every other sweep, but coupled trajectories are this
+    experiment's *subject*: only ``'trajectory'`` is accepted (E1/E3
+    already measure the independent per-size curves).
+    """
     from repro.core.families import theorem_target_for_size
 
     if ctx.mode != "trajectory":
@@ -1988,20 +1448,7 @@ def _e19_body(
             ),
         ),
     ]
-    result = ExperimentResult(
-        experiment_id="E19",
-        title="Search cost along coupled growth trajectories",
-        params={
-            "sizes": list(sizes),
-            "p": p,
-            "m": m,
-            "alpha": alpha,
-            "num_graphs": num_graphs,
-            "runs_per_graph": runs_per_graph,
-            "seed": seed,
-            "mode": "trajectory",
-        },
-    )
+    result.params["mode"] = "trajectory"
     table = Table(
         title=(
             "High-degree weak search cost at checkpoints of one "
@@ -2053,56 +1500,6 @@ def _e19_body(
     )
     result.tables.append(table)
     result.derived["min_exponent"] = min_exponent
-    return result
-
-
-def e19_trajectory_scaling(
-    sizes: Sequence[int] = (200, 400, 800, 1600),
-    p: float = 0.5,
-    m: int = 1,
-    alpha: float = 0.75,
-    num_graphs: int = 5,
-    runs_per_graph: int = 2,
-    seed: int = 19,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    mode: str = "trajectory",
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E19: request cost vs n measured *along* single evolving networks.
-
-    The scaling curves of E1/E3 sample an independent realisation per
-    size; this experiment instead follows the regime of dynamic P2P
-    overlays and resource-discovery systems — the network keeps
-    growing and searchability is re-measured on the *same* realisation
-    at checkpoint sizes.  Each of the ``num_graphs`` trajectories per
-    family (Móri and Cooper–Frieze) is evolved once to ``max(sizes)``,
-    the high-degree weak searcher is costed at every checkpoint, and
-    the per-size spread across trajectories gives the confidence band.
-    Marginally each checkpoint is an exact sample of the independent
-    per-size law (checkpoint snapshots are bit-identical to
-    independent same-seed builds), so the Ω(√n) floor applies
-    unchanged along the growth process.
-
-    ``mode`` exists so ``repro run E19 --mode trajectory`` composes
-    like every other sweep, but coupled trajectories are this
-    experiment's *subject*: only ``'trajectory'`` is accepted (E1/E3
-    already measure the independent per-size curves).
-    """
-    return run_experiment(
-        "E19",
-        sizes=sizes,
-        p=p,
-        m=m,
-        alpha=alpha,
-        num_graphs=num_graphs,
-        runs_per_graph=runs_per_graph,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        mode=mode,
-        store_backend=store_backend,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -2125,28 +1522,30 @@ def e19_trajectory_scaling(
         Param("seed", INT, 20),
     ),
 )
-def _e20_body(
-    ctx, *, sizes, p, m, alpha, exponent, num_graphs, runs_per_graph, seed
+def e20_cross_model(
+    ctx, result, *, sizes, p, m, alpha, exponent, num_graphs, runs_per_graph,
+    seed
 ):
+    """E20: one harness, three models, both knowledge models.
+
+    The registry's extension proof: a cross-model search-cost grid —
+    Móri merged graphs vs Cooper–Frieze vs the configuration-model
+    giant component at matched size and degree scale — swept by both
+    the weak and the strong portfolio on one pipeline.  The experiment
+    is a *pure spec*: it exercises ``jobs``/``cache``/``store``
+    through nothing but its capability declaration, with no
+    experiment-specific CLI code.
+
+    Headline shape: the cheapest fitted exponent stays bounded away
+    from 0 for the evolving models (the paper's non-navigability), and
+    the cross-model rows expose how much of the cost is the *model*
+    rather than the algorithm.
+    """
     families = [
         MoriFamily(p=p, m=m),
         CooperFriezeFamily(CooperFriezeParams(alpha=alpha)),
         ConfigurationFamily(exponent=exponent, min_degree=m),
     ]
-    result = ExperimentResult(
-        experiment_id="E20",
-        title="Cross-model search-cost grid (weak + strong portfolios)",
-        params={
-            "sizes": list(sizes),
-            "p": p,
-            "m": m,
-            "alpha": alpha,
-            "exponent": exponent,
-            "num_graphs": num_graphs,
-            "runs_per_graph": runs_per_graph,
-            "seed": seed,
-        },
-    )
     table = Table(
         title=(
             "Mean requests per (model, portfolio, algorithm) at "
@@ -2222,51 +1621,6 @@ def _e20_body(
     result.tables.append(table)
     result.tables.append(fits)
     result.derived["min_exponent"] = min_exponent
-    return result
-
-
-def e20_cross_model(
-    sizes: Sequence[int] = (200, 400, 800),
-    p: float = 0.5,
-    m: int = 2,
-    alpha: float = 0.75,
-    exponent: float = 2.5,
-    num_graphs: int = 4,
-    runs_per_graph: int = 2,
-    seed: int = 20,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E20: one harness, three models, both knowledge models.
-
-    The registry's extension proof: a cross-model search-cost grid —
-    Móri merged graphs vs Cooper–Frieze vs the configuration-model
-    giant component at matched size and degree scale — swept by both
-    the weak and the strong portfolio on one pipeline.  The experiment
-    is a *pure spec*: it exercises ``jobs``/``cache``/``store``
-    through nothing but its capability declaration, with no
-    experiment-specific CLI code.
-
-    Headline shape: the cheapest fitted exponent stays bounded away
-    from 0 for the evolving models (the paper's non-navigability), and
-    the cross-model rows expose how much of the cost is the *model*
-    rather than the algorithm.
-    """
-    return run_experiment(
-        "E20",
-        sizes=sizes,
-        p=p,
-        m=m,
-        alpha=alpha,
-        exponent=exponent,
-        num_graphs=num_graphs,
-        runs_per_graph=runs_per_graph,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        store_backend=store_backend,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -2290,35 +1644,28 @@ def e20_cross_model(
         Param("seed", INT, 21),
     ),
 )
-def _e21_body(
-    ctx,
-    *,
-    size,
-    p,
-    m,
-    churn_rates,
-    churn_bias,
-    resnapshot_every,
-    num_graphs,
-    runs_per_graph,
-    seed,
+def e21_churn_search(
+    ctx, result, *, size, p, m, churn_rates, churn_bias, resnapshot_every,
+    num_graphs, runs_per_graph, seed
 ):
+    """E21: does non-searchability survive live churn?
+
+    Sweeps the churn rate (steps per vertex of population-preserving
+    leave+join turnover on the overlay layer) and re-measures the
+    weak and strong portfolios on the churned graph.  A pure spec per
+    the registry recipe: churn parameters are ordinary registry params
+    (the CLI's ``--churn-rate/--churn-bias/--resnapshot-every`` sugar
+    maps onto them generically), and every cell is one
+    :func:`~repro.core.trials.churn_search_trial` replayable from the
+    store across ``--jobs`` and kernels.
+
+    Headline: ``churn_penalty/<portfolio>`` — the cost ratio between
+    the stormiest and calmest rate.  The paper's Ω(√n) floor is about
+    a static snapshot; the dynamic rows show turnover does not open a
+    cheap route (if anything, degree-biased leaves remove exactly the
+    hubs cheap searches lean on).
+    """
     spec = family_spec(MoriFamily(p=p, m=m))
-    result = ExperimentResult(
-        experiment_id="E21",
-        title="Search cost vs churn rate (weak + strong portfolios)",
-        params={
-            "size": size,
-            "p": p,
-            "m": m,
-            "churn_rates": list(churn_rates),
-            "churn_bias": churn_bias,
-            "resnapshot_every": resnapshot_every,
-            "num_graphs": num_graphs,
-            "runs_per_graph": runs_per_graph,
-            "seed": seed,
-        },
-    )
     table = Table(
         title="Mean requests per (portfolio, churn rate, algorithm)",
         columns=(
@@ -2397,55 +1744,6 @@ def _e21_body(
         "turnover, not of shrinkage."
     )
     result.tables.append(table)
-    return result
-
-
-def e21_churn_search(
-    size: int = 400,
-    p: float = 0.5,
-    m: int = 2,
-    churn_rates: Sequence[float] = (0.0, 0.05, 0.1, 0.2),
-    churn_bias: str = "uniform",
-    resnapshot_every: int = 0,
-    num_graphs: int = 4,
-    runs_per_graph: int = 2,
-    seed: int = 21,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E21: does non-searchability survive live churn?
-
-    Sweeps the churn rate (steps per vertex of population-preserving
-    leave+join turnover on the overlay layer) and re-measures the
-    weak and strong portfolios on the churned graph.  A pure spec per
-    the PR 5 recipe: churn parameters are ordinary registry params
-    (the CLI's ``--churn-rate/--churn-bias/--resnapshot-every`` sugar
-    maps onto them generically), and every cell is one
-    :func:`~repro.core.trials.churn_search_trial` replayable from the
-    store across ``--jobs`` and kernels.
-
-    Headline: ``churn_penalty/<portfolio>`` — the cost ratio between
-    the stormiest and calmest rate.  The paper's Ω(√n) floor is about
-    a static snapshot; the dynamic rows show turnover does not open a
-    cheap route (if anything, degree-biased leaves remove exactly the
-    hubs cheap searches lean on).
-    """
-    return run_experiment(
-        "E21",
-        size=size,
-        p=p,
-        m=m,
-        churn_rates=churn_rates,
-        churn_bias=churn_bias,
-        resnapshot_every=resnapshot_every,
-        num_graphs=num_graphs,
-        runs_per_graph=runs_per_graph,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        store_backend=store_backend,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -2471,24 +1769,19 @@ def e21_churn_search(
         Param("seed", INT, 22),
     ),
 )
-def _e22_body(
-    ctx, *, size, p, m, remove_fractions, resnapshot_every, num_graphs,
+def e22_giant_survival(
+    ctx, result, *, size, p, m, remove_fractions, resnapshot_every, num_graphs,
     seed
 ):
+    """E22: how fast does the searchable substrate itself dissolve?
+
+    Pure decay on the overlay layer (leaves, no joins), uniform vs
+    degree-biased, tracking the giant component of the surviving
+    graph.  Complements E21: before asking how expensive search under
+    churn is, this measures when the network stops having anything to
+    search.  A pure spec with zero experiment-specific CLI code.
+    """
     spec = family_spec(MoriFamily(p=p, m=m))
-    result = ExperimentResult(
-        experiment_id="E22",
-        title="Giant-component survival under decay",
-        params={
-            "size": size,
-            "p": p,
-            "m": m,
-            "remove_fractions": list(remove_fractions),
-            "resnapshot_every": resnapshot_every,
-            "num_graphs": num_graphs,
-            "seed": seed,
-        },
-    )
     table = Table(
         title="Surviving giant component under pure decay",
         columns=(
@@ -2559,69 +1852,15 @@ def _e22_body(
         "robustness/fragility split, measured on the overlay layer."
     )
     result.tables.append(table)
-    return result
 
 
-def e22_giant_survival(
-    size: int = 600,
-    p: float = 0.5,
-    m: int = 2,
-    remove_fractions: Sequence[float] = (0.1, 0.25, 0.5, 0.75, 0.9),
-    resnapshot_every: int = 0,
-    num_graphs: int = 4,
-    seed: int = 22,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-    store_backend: Optional[str] = None,
-) -> ExperimentResult:
-    """E22: how fast does the searchable substrate itself dissolve?
+#: Public experiment functions by id (one per registered spec), kept
+#: importable for downstream callers.  The CLI itself runs on the
+#: registry (:data:`repro.core.registry.REGISTRY`) and never touches
+#: these.
+ALL_EXPERIMENTS = {spec.id: spec.function for spec in REGISTRY}
 
-    Pure decay on the overlay layer (leaves, no joins), uniform vs
-    degree-biased, tracking the giant component of the surviving
-    graph.  Complements E21: before asking how expensive search under
-    churn is, this measures when the network stops having anything to
-    search.  A pure spec with zero experiment-specific CLI code.
-    """
-    return run_experiment(
-        "E22",
-        size=size,
-        p=p,
-        m=m,
-        remove_fractions=remove_fractions,
-        resnapshot_every=resnapshot_every,
-        num_graphs=num_graphs,
-        seed=seed,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        store_backend=store_backend,
-    )
-
-
-#: Public wrappers by experiment id (one per registered spec), used by
-#: the benchmark harness and kept importable for downstream callers.
-#: The CLI itself runs on the registry (:data:`repro.core.registry.
-#: REGISTRY`) and never touches these.
-ALL_EXPERIMENTS = {
-    "E1": e1_mori_weak,
-    "E2": e2_mori_strong,
-    "E3": e3_cooper_frieze,
-    "E4": e4_event_probability,
-    "E5": e5_max_degree,
-    "E6": e6_degree_distribution,
-    "E7": e7_adamic,
-    "E8": e8_kleinberg,
-    "E9": e9_diameter_vs_search,
-    "E10": e10_equivalence_exact,
-    "E11": e11_lemma1_floor,
-    "E12": e12_percolation,
-    "E13": e13_ablation_p,
-    "E14": e14_ablation_m,
-    "E15": e15_cf_equivalence,
-    "E16": e16_neighbor_dependence,
-    "E17": e17_simulation_slowdown,
-    "E18": e18_start_rule,
-    "E19": e19_trajectory_scaling,
-    "E20": e20_cross_model,
-    "E21": e21_churn_search,
-    "E22": e22_giant_survival,
-}
+__all__ = [
+    *(function.__name__ for function in ALL_EXPERIMENTS.values()),
+    "ALL_EXPERIMENTS",
+]

@@ -26,12 +26,12 @@ The registry replaces that with three declarative pieces:
   :meth:`ExecutionContext.measure_search_cost`) instead of forwarding
   five copy-pasted kwargs to every call.
 
-Experiment bodies register with :meth:`Registry.register`; the public
-``e1_mori_weak(...)``-style wrappers in :mod:`repro.core.experiments`
-stay as thin delegates through :func:`run_experiment`, so every
-existing pin and caller keeps working bit-identically.
-``tests/test_registry.py`` asserts wrapper/spec parity so the two
-views cannot drift.
+An experiment is declared once, with :meth:`Registry.register`: the
+spec builds the result header (id, title, resolved params) and the
+decorator returns the public ``e1_mori_weak(...)``-style function,
+generated from the declaration — its signature lists the declared
+params, then the declared capability parameters, with their declared
+defaults — so schema, header and public signature cannot drift.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from typing import (
     Union,
 )
 
+from repro.core.results import ExperimentResult
 from repro.errors import ExperimentError
 from repro.runner import (
     STORE_BACKENDS,
@@ -78,7 +79,7 @@ __all__ = [
 ]
 
 #: The execution axes an experiment may declare, in canonical order
-#: (also the order their keyword parameters appear in public wrappers).
+#: (also the order their keyword parameters appear in public functions).
 CAPABILITIES = ("jobs", "cache", "mode", "store")
 
 #: Capability -> (public keyword parameter, default value).  ``cache``
@@ -134,6 +135,9 @@ STR = ParamType("str", str)
 INT_TUPLE = ParamType("ints", _parse_int_tuple)
 FLOAT_TUPLE = ParamType("floats", _parse_float_tuple)
 
+#: Parameter types whose values a result header records as lists.
+_SEQUENCE_TYPES = (INT_TUPLE, FLOAT_TUPLE)
+
 
 @dataclass(frozen=True)
 class Param:
@@ -171,7 +175,6 @@ class ExecutionContext:
     jobs: int = 1
     store: Optional[TrialStore] = None
     mode: str = "independent"
-    store_backend: Optional[str] = None
 
     def run_trials(self, specs: Sequence[TrialSpec]) -> list:
         """Dispatch trial specs through the runner with this context's
@@ -272,8 +275,12 @@ class ExperimentSpec:
     ``capabilities`` maps declared capability names (a subset of
     :data:`CAPABILITIES`) to their *default* values — e.g. E19 declares
     ``mode`` with default ``'trajectory'`` because coupled trajectories
-    are its subject.  ``body`` is called as ``body(ctx, **params)`` and
-    returns an :class:`~repro.core.results.ExperimentResult`.
+    are its subject.  ``body`` is called as ``body(ctx, result,
+    **params)``: :meth:`run` creates the
+    :class:`~repro.core.results.ExperimentResult` header from the spec
+    and the body fills in its tables and derived values.  ``function``
+    is the public callable generated from the declaration (see
+    :meth:`Registry.register`).
     """
 
     id: str
@@ -281,6 +288,12 @@ class ExperimentSpec:
     params: Tuple[Param, ...]
     capabilities: Mapping[str, Any]
     body: Callable[..., Any]
+    function: Callable[..., Any] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "function", _public_function(self))
 
     @property
     def param_names(self) -> Tuple[str, ...]:
@@ -334,8 +347,6 @@ class ExperimentSpec:
             )
         if "mode" in resolved:
             kwargs["mode"] = resolved["mode"]
-        if "store" in resolved:
-            kwargs["store_backend"] = resolved["store"]
         return ExecutionContext(**kwargs)
 
     def resolve_params(
@@ -357,7 +368,12 @@ class ExperimentSpec:
         mode: Optional[str] = None,
         store_backend: Optional[str] = None,
     ):
-        """Execute the experiment body with resolved params + context."""
+        """Execute the experiment body with resolved params + context.
+
+        The result's header comes from the spec: ``experiment_id`` and
+        ``title`` are the spec's, ``params`` the resolved parameters
+        (sequence values as lists).  The body fills in the rest.
+        """
         params = self.resolve_params(overrides)
         context = self.make_context(
             jobs=jobs,
@@ -365,7 +381,67 @@ class ExperimentSpec:
             mode=mode,
             store_backend=store_backend,
         )
-        return self.body(context, **params)
+        result = ExperimentResult(
+            experiment_id=self.id,
+            title=self.title,
+            params={
+                param.name: (
+                    list(params[param.name])
+                    if param.type in _SEQUENCE_TYPES
+                    else params[param.name]
+                )
+                for param in self.params
+            },
+        )
+        self.body(context, result, **params)
+        return result
+
+    def call(self, kwargs: Dict[str, Any]):
+        """Run from flat keyword arguments: declared params mixed with
+        the capability parameters (``jobs``, ``cache_dir``, ``mode``,
+        ``store_backend``), split per :data:`CAPABILITY_PARAMS`."""
+        params = dict(kwargs)
+        context_kwargs = {
+            parameter: params.pop(parameter)
+            for parameter, _ in CAPABILITY_PARAMS.values()
+            if parameter in params
+        }
+        return self.run(params, **context_kwargs)
+
+
+def _public_function(spec: ExperimentSpec) -> Callable[..., Any]:
+    """The public ``e<n>_...`` function generated from ``spec``.
+
+    It keeps the body's name and docstring; its signature lists the
+    declared params, then the declared capability parameters, each
+    with its declared default, and binds positional and keyword
+    arguments as an ordinary function does (``TypeError`` on unknown
+    or surplus arguments).
+    """
+    kind = inspect.Parameter.POSITIONAL_OR_KEYWORD
+    signature = inspect.Signature(
+        [
+            inspect.Parameter(param.name, kind, default=param.default)
+            for param in spec.params
+        ]
+        + [
+            inspect.Parameter(
+                CAPABILITY_PARAMS[capability][0], kind, default=default
+            )
+            for capability, default in spec.capabilities.items()
+        ],
+        return_annotation=ExperimentResult,
+    )
+
+    def function(*args, **kwargs):
+        return spec.call(signature.bind(*args, **kwargs).arguments)
+
+    function.__name__ = spec.body.__name__
+    function.__qualname__ = spec.body.__qualname__
+    function.__module__ = spec.body.__module__
+    function.__doc__ = spec.body.__doc__
+    function.__signature__ = signature
+    return function
 
 
 def _normalized_capabilities(
@@ -424,8 +500,10 @@ class Registry:
         """Decorator: register a body function as an experiment spec.
 
         Validates at import time that the body's keyword parameters
-        are exactly the declared ``params`` (plus the leading context
-        argument), so schema and implementation cannot drift.
+        are exactly the declared ``params`` (after the leading context
+        and result arguments), so schema and implementation cannot
+        drift.  Returns the spec's generated public function, so the
+        body is defined under the experiment's public name.
         """
 
         def decorate(body: Callable) -> Callable:
@@ -456,14 +534,14 @@ class Registry:
                 )
             signature = inspect.signature(body)
             body_params = list(signature.parameters)
-            if tuple(body_params[1:]) != names:
+            if tuple(body_params[2:]) != names:
                 raise ExperimentError(
                     f"{experiment_id}: body takes "
-                    f"{body_params[1:]} but the spec declares "
+                    f"{body_params[2:]} but the spec declares "
                     f"{list(names)}"
                 )
             self.add(spec)
-            return body
+            return spec.function
 
         return decorate
 
@@ -522,15 +600,8 @@ REGISTRY = Registry()
 def run_experiment(experiment_id: str, **kwargs):
     """Run a registered experiment from flat keyword arguments.
 
-    The convenience entry the public ``e<n>_...`` wrappers delegate
-    through: ``kwargs`` may mix declared experiment parameters with
-    the capability parameters the spec declares (``jobs``,
-    ``cache_dir``, ``mode``, ``store_backend``); they are
-    split per the spec and dispatched via :meth:`ExperimentSpec.run`.
+    ``kwargs`` may mix declared experiment parameters with the
+    capability parameters the spec declares (``jobs``, ``cache_dir``,
+    ``mode``, ``store_backend``); see :meth:`ExperimentSpec.call`.
     """
-    spec = REGISTRY.get(experiment_id)
-    context_kwargs: Dict[str, Any] = {}
-    for parameter, _ in CAPABILITY_PARAMS.values():
-        if parameter in kwargs:
-            context_kwargs[parameter] = kwargs.pop(parameter)
-    return spec.run(kwargs, **context_kwargs)
+    return REGISTRY.get(experiment_id).call(kwargs)

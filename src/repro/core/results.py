@@ -1,11 +1,11 @@
 """Result tables and experiment records.
 
 Every experiment produces an :class:`ExperimentResult`: a set of
-:class:`Table` objects (the paper-style rows the benchmark harness
-prints) plus a flat ``derived`` mapping of headline scalars (fitted
-exponents, bound comparisons) that tests assert against.  Records
-serialise to JSON so EXPERIMENTS.md numbers can be regenerated and
-diffed.
+:class:`Table` objects (the paper-style rows ``repro run`` prints)
+plus a flat ``derived`` mapping of headline scalars (fitted exponents,
+bound comparisons) that tests assert against.  Records serialise to
+JSON (``repro run --json-dir``) so published numbers can be
+regenerated and diffed (``repro compare``).
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ class ExperimentResult:
     Attributes
     ----------
     experiment_id:
-        Stable id matching DESIGN.md's index (``"E1"`` ... ``"E14"``).
+        Stable registry id (``"E1"`` ... ``"E22"``; ``repro list``).
     title:
         Human-readable experiment name.
     params:

@@ -28,7 +28,7 @@ from repro.errors import ExperimentError
 from repro.equivalence.events import equivalence_window
 from repro.graphs.frozen import GraphBackend
 from repro.rng import substream
-from repro.runner import ResultStore, TrialSpec, run_trials, trial_ref
+from repro.runner import TrialSpec, TrialStore, run_trials, trial_ref
 from repro.search.algorithms.base import SearchAlgorithm
 from repro.search.algorithms.omniscient import OmniscientWindowSearch
 from repro.search.metrics import (
@@ -171,17 +171,18 @@ def _portfolio_grid_in_process(
     budget: Optional[int],
     neighbor_success: bool,
     graph_seed: int,
-):
+) -> Dict[str, List[Dict]]:
     """One graph's whole portfolio grid through the shared executor.
 
     The in-process factory paths (independent and trajectory) both
     delegate here, which delegates to the trial layer's
     ``_execute_cells`` — one derivation of run seeds, one engine
     choice — so closures get the ensemble kernel too, and the
-    factory and named-portfolio paths cannot drift apart.  Yields
-    ``(algorithm_name, SearchResult)`` in the serial loop's order.
+    factory and named-portfolio paths cannot drift apart.  Returns
+    what a named portfolio's graph trial returns: algorithm name ->
+    serialised runs, in the serial loop's order.
     """
-    from repro.core.trials import _execute_cells, result_from_dict
+    from repro.core.trials import _execute_cells
 
     cells = [
         {"algorithm": name, "run_index": run_index}
@@ -198,14 +199,20 @@ def _portfolio_grid_in_process(
         neighbor_success=neighbor_success,
         seed=graph_seed,
     )
+    collected: Dict[str, List[Dict]] = {}
     for cell, value in zip(cells, cell_results):
-        yield cell["algorithm"], result_from_dict(value)
+        collected.setdefault(cell["algorithm"], []).append(value)
+    return collected
 
 
 def _fold_cell(
     family: GraphFamily, size: int, values: Sequence[Dict]
 ) -> CostMeasurement:
-    """Aggregate per-graph trial values back into a cell measurement."""
+    """Aggregate per-graph trial values back into a cell measurement.
+
+    Every path folds here: the runner's named-portfolio trial values
+    and the in-process factory grids share one shape.
+    """
     from repro.core.trials import result_from_dict
 
     measurement = CostMeasurement(family_name=family.name, size=size)
@@ -221,6 +228,35 @@ def _fold_cell(
     return measurement
 
 
+def _validate_request(
+    factories: Union[str, Dict[str, AlgorithmFactory]],
+    num_graphs: int,
+    runs_per_graph: int,
+    start_rule: str,
+    jobs: int,
+    store: Optional[TrialStore],
+) -> None:
+    """The argument checks :func:`measure_search_cost` and
+    :func:`measure_scaling` share."""
+    if num_graphs < 1 or runs_per_graph < 1:
+        raise ExperimentError(
+            "num_graphs and runs_per_graph must be >= 1, got "
+            f"{num_graphs}, {runs_per_graph}"
+        )
+    if start_rule not in ("default", "random", "newest-other"):
+        raise ExperimentError(
+            f"unknown start_rule {start_rule!r}"
+        )
+    if not isinstance(factories, str) and (
+        jobs != 1 or store is not None
+    ):
+        raise ExperimentError(
+            "jobs/store require a named portfolio (factory dicts hold "
+            "closures and cannot be dispatched to workers); pass a "
+            "portfolio name from repro.core.trials.PORTFOLIOS"
+        )
+
+
 def measure_search_cost(
     family: GraphFamily,
     size: int,
@@ -232,7 +268,7 @@ def measure_search_cost(
     neighbor_success: bool = False,
     start_rule: str = "default",
     jobs: int = 1,
-    store: Optional[ResultStore] = None,
+    store: Optional[TrialStore] = None,
     experiment_id: str = "adhoc",
 ) -> CostMeasurement:
     """Estimate expected request counts on ``family`` at ``size``.
@@ -265,15 +301,9 @@ def measure_search_cost(
     ``jobs``/``store`` none of this changes a number, only wall-clock
     time.
     """
-    if num_graphs < 1 or runs_per_graph < 1:
-        raise ExperimentError(
-            "num_graphs and runs_per_graph must be >= 1, got "
-            f"{num_graphs}, {runs_per_graph}"
-        )
-    if start_rule not in ("default", "random", "newest-other"):
-        raise ExperimentError(
-            f"unknown start_rule {start_rule!r}"
-        )
+    _validate_request(
+        factories, num_graphs, runs_per_graph, start_rule, jobs, store
+    )
 
     if isinstance(factories, str):
         specs = _build_cell_specs(
@@ -293,20 +323,9 @@ def measure_search_cost(
             family, size, [outcome.value for outcome in outcomes]
         )
 
-    if jobs != 1 or store is not None:
-        raise ExperimentError(
-            "jobs/store require a named portfolio (factory dicts hold "
-            "closures and cannot be dispatched to workers); pass a "
-            "portfolio name from repro.core.trials.PORTFOLIOS"
-        )
-
     from repro.core.trials import build_graph_snapshot
 
-    measurement = CostMeasurement(family_name=family.name, size=size)
-    collected: Dict[str, List[SearchResult]] = {
-        name: [] for name in factories
-    }
-
+    values = []
     for graph_index in range(num_graphs):
         graph_seed = substream(seed, graph_index)
         graph = build_graph_snapshot(family, size, graph_seed)
@@ -314,27 +333,24 @@ def measure_search_cost(
         start = _choose_start(
             family, graph, target, start_rule, graph_seed
         )
-        for name, result in _portfolio_grid_in_process(
-            graph,
-            factories,
-            runs_per_graph,
-            start=start,
-            target=target,
-            budget=budget,
-            neighbor_success=neighbor_success,
-            graph_seed=graph_seed,
-        ):
-            collected[name].append(result)
-
-    for name, results in collected.items():
-        measurement.results[name] = results
-        measurement.summaries[name] = summarize_results(results)
-    return measurement
+        values.append(
+            _portfolio_grid_in_process(
+                graph,
+                factories,
+                runs_per_graph,
+                start=start,
+                target=target,
+                budget=budget,
+                neighbor_success=neighbor_success,
+                graph_seed=graph_seed,
+            )
+        )
+    return _fold_cell(family, size, values)
 
 
 def _choose_start(
     family: GraphFamily,
-    graph: MultiGraph,
+    graph: GraphBackend,
     target: int,
     start_rule: str,
     graph_seed: int,
@@ -416,7 +432,7 @@ def measure_scaling(
     neighbor_success: bool = False,
     start_rule: str = "default",
     jobs: int = 1,
-    store: Optional[ResultStore] = None,
+    store: Optional[TrialStore] = None,
     experiment_id: str = "adhoc",
     mode: str = "independent",
 ) -> ScalingMeasurement:
@@ -450,15 +466,9 @@ def measure_scaling(
         raise ExperimentError(
             f"need at least 2 sizes for a scaling sweep, got {ordered}"
         )
-    if num_graphs < 1 or runs_per_graph < 1:
-        raise ExperimentError(
-            "num_graphs and runs_per_graph must be >= 1, got "
-            f"{num_graphs}, {runs_per_graph}"
-        )
-    if start_rule not in ("default", "random", "newest-other"):
-        raise ExperimentError(
-            f"unknown start_rule {start_rule!r}"
-        )
+    _validate_request(
+        factories, num_graphs, runs_per_graph, start_rule, jobs, store
+    )
     if mode not in MODES:
         raise ExperimentError(
             f"unknown mode {mode!r}; valid: {', '.join(MODES)}"
@@ -538,7 +548,7 @@ def _measure_scaling_trajectory(
     neighbor_success: bool,
     start_rule: str,
     jobs: int,
-    store: Optional[ResultStore],
+    store: Optional[TrialStore],
     experiment_id: str,
 ) -> ScalingMeasurement:
     """The ``mode='trajectory'`` body of :func:`measure_scaling`.
@@ -583,18 +593,9 @@ def _measure_scaling_trajectory(
             )
         return measurement
 
-    if jobs != 1 or store is not None:
-        raise ExperimentError(
-            "jobs/store require a named portfolio (factory dicts hold "
-            "closures and cannot be dispatched to workers); pass a "
-            "portfolio name from repro.core.trials.PORTFOLIOS"
-        )
-
     from repro.core.trials import resolve_kernels, trajectory_snapshots
 
-    collected: Dict[int, Dict[str, List[SearchResult]]] = {
-        size: {name: [] for name in factories} for size in ordered
-    }
+    per_size: Dict[int, List[Dict]] = {size: [] for size in ordered}
     for graph_seed in graph_seeds:
         full_graph, marks = family.build_trajectory(
             ordered, seed=graph_seed,
@@ -607,21 +608,20 @@ def _measure_scaling_trajectory(
             start = _choose_start(
                 family, graph, target, start_rule, graph_seed
             )
-            for name, result in _portfolio_grid_in_process(
-                graph,
-                factories,
-                runs_per_graph,
-                start=start,
-                target=target,
-                budget=None,
-                neighbor_success=neighbor_success,
-                graph_seed=graph_seed,
-            ):
-                collected[size][name].append(result)
+            per_size[size].append(
+                _portfolio_grid_in_process(
+                    graph,
+                    factories,
+                    runs_per_graph,
+                    start=start,
+                    target=target,
+                    budget=None,
+                    neighbor_success=neighbor_success,
+                    graph_seed=graph_seed,
+                )
+            )
     for size in ordered:
-        cell = CostMeasurement(family_name=family.name, size=size)
-        for name, results in collected[size].items():
-            cell.results[name] = results
-            cell.summaries[name] = summarize_results(results)
-        measurement.cells[size] = cell
+        measurement.cells[size] = _fold_cell(
+            family, size, per_size[size]
+        )
     return measurement

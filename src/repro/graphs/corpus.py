@@ -32,8 +32,9 @@ The corpus activates through the ``REPRO_CORPUS_DIR`` environment
 variable (see :func:`active_corpus`): the generator-aware build helper
 in :mod:`repro.core.trials` consults it on every independent frozen
 snapshot build, and the variable is inherited by worker processes.
-Hit/miss counters are process-local; the CLI reports the parent
-process's tally after a run.
+Hit/miss counters are per process; the trial executor merges each
+pool worker's per-trial delta into the parent's tally, which the CLI
+reports after a run.
 
 numpy is required (the whole point is mapped array sharing); without
 it :func:`active_corpus` reports no corpus, so callers silently fall
@@ -68,6 +69,7 @@ __all__ = [
     "active_corpus",
     "corpus_stats",
     "reset_corpus_stats",
+    "add_corpus_stats",
 ]
 
 CORPUS_SCHEMA = "repro-corpus/v1"
@@ -96,6 +98,16 @@ def reset_corpus_stats() -> None:
     """Zero the hit/miss tally (one CLI run = one tally)."""
     _STATS["hits"] = 0
     _STATS["misses"] = 0
+
+
+def add_corpus_stats(delta: Mapping[str, int]) -> None:
+    """Merge another process's hit/miss delta into this tally.
+
+    The executor calls it with each pool worker's per-trial delta, so
+    the parent's tally covers every process of a ``--jobs`` run.
+    """
+    for key, count in delta.items():
+        _STATS[key] += count
 
 
 def active_corpus() -> Optional["GraphCorpus"]:

@@ -37,9 +37,10 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
+from repro.graphs.corpus import add_corpus_stats, corpus_stats
 from repro.runner.store import MISS, TrialStore
 from repro.runner.trial import (
     TrialExecutionError,
@@ -55,9 +56,19 @@ __all__ = ["run_trials"]
 _INFLIGHT_PER_WORKER = 4
 
 
-def _execute_spec(spec: TrialSpec) -> Any:
-    """Top-level worker entry point (must be picklable)."""
-    return spec.execute()
+def _execute_spec(spec: TrialSpec) -> Tuple[Any, Dict[str, int]]:
+    """Top-level worker entry point (must be picklable).
+
+    Returns the trial's value and the corpus hit/miss tally the trial
+    added in this process.  A pool worker's tally lives in the worker,
+    so the parent merges the delta into its own
+    (:func:`repro.graphs.corpus.add_corpus_stats`); the serial path
+    already counted in-process and drops it.
+    """
+    before = corpus_stats()
+    value = spec.execute()
+    after = corpus_stats()
+    return value, {key: after[key] - before[key] for key in after}
 
 
 def run_trials(
@@ -163,7 +174,7 @@ def _run_serial(
     for index in pending:
         spec = specs[index]
         try:
-            value = _execute_spec(spec)
+            value, _ = _execute_spec(spec)
         except TrialExecutionError:
             raise
         except Exception as error:
@@ -225,7 +236,7 @@ def _run_pool(
             for future in done:
                 index = in_flight.pop(future)
                 try:
-                    value = future.result()
+                    value, corpus_delta = future.result()
                 except CancelledError:
                     continue  # cancelled after an earlier failure
                 except BrokenProcessPool as error:
@@ -240,6 +251,7 @@ def _run_pool(
                         for other in in_flight:
                             other.cancel()
                 else:
+                    add_corpus_stats(corpus_delta)
                     complete(index, value)
                     if failure is None and broken is None:
                         submit_next()
@@ -290,7 +302,7 @@ def _raise_broken_pool(
         ) as probe:
             future = probe.submit(_execute_spec, spec)
             try:
-                value = future.result()
+                value, corpus_delta = future.result()
             except BrokenProcessPool:
                 raise TrialExecutionError(
                     spec,
@@ -305,6 +317,7 @@ def _raise_broken_pool(
                 # The retry surfaced an ordinary failure the broken
                 # pool swallowed; report it with exact attribution.
                 raise TrialExecutionError(spec, cause) from cause
+            add_corpus_stats(corpus_delta)
             complete(index, value)
     # No suspect reproduced the crash — a transient death (e.g. the
     # OS OOM-killer under momentary pressure).  All suspects were

@@ -398,3 +398,27 @@ class TestCorpusCli:
         # in-process main() calls do not inherit a corpus they never
         # asked for.
         assert CORPUS_DIR_VARIABLE not in os.environ
+
+    def test_tally_counts_worker_lookups(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """At ``--jobs 2`` the lookups happen in pool workers; their
+        hit/miss deltas ride back with the trial values, so the
+        parent's tally matches the serial run's."""
+        from repro.cli import main
+
+        monkeypatch.delenv(CORPUS_DIR_VARIABLE, raising=False)
+        argv = [
+            "run", "E17", "--quick", "--set", "sizes=60,120",
+            "--set", "num_graphs=2", "--corpus-dir",
+            str(tmp_path / "corpus"), "--jobs", "2",
+        ]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert "corpus: 0 hits, 4 misses" in cold
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert "corpus: 4 hits, 0 misses" in warm
+        assert cold.replace("0 hits, 4 misses", "") == warm.replace(
+            "4 hits, 0 misses", ""
+        )

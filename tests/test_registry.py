@@ -2,11 +2,12 @@
 
 Three layers are pinned here:
 
-1. **Wrapper/spec parity** — every registered spec's declared params
-   and capabilities must match its public ``e<n>_...`` wrapper
-   signature exactly (names, order, defaults).  The wrappers are thin
-   registry delegates kept for API stability; this test is what
-   prevents the two views from drifting apart.
+1. **Declaration -> public surface** — every registered spec's
+   declared params and capabilities must match its public
+   ``e<n>_...`` function signature exactly (names, order, defaults);
+   the function is generated from the declaration, binds arguments
+   like an ordinary function, and the result header (id, title,
+   params) comes from the spec.
 2. **Registry semantics** — capability declarations resolve to
    execution contexts, undeclared capabilities are rejected from the
    Python API, axis vocabularies are validated once.
@@ -35,6 +36,7 @@ from repro.core.registry import (
     Registry,
     run_experiment,
     INT,
+    INT_TUPLE,
 )
 from repro.errors import ExperimentError
 from repro.graphs.frozen import HAVE_NUMPY
@@ -111,6 +113,99 @@ class TestWrapperSpecParity:
         assert via_wrapper.derived == via_spec.derived
 
 
+class TestGeneratedSurface:
+    """The registry derives the result header and the public function
+    from one declaration."""
+
+    #: The params a body records beyond its declared ones.
+    EXTRAS = {
+        "E12": {"giant_n"},
+        "E17": {"mode"},
+        "E18": {"mode"},
+        "E19": {"mode"},
+    }
+
+    @pytest.mark.parametrize(
+        "experiment_id", ["E4", "E10", "E12", "E17", "E18", "E19"]
+    )
+    def test_header_comes_from_spec(self, experiment_id):
+        spec = REGISTRY.get(experiment_id)
+        overrides = QUICK_OVERRIDES[experiment_id]
+        result = spec.run(overrides)
+        assert result.experiment_id == spec.id
+        assert result.title == spec.title
+        expected = {
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in spec.resolve_params(overrides).items()
+        }
+        extras = set(result.params) - set(expected)
+        assert extras == self.EXTRAS.get(experiment_id, set())
+        assert {name: result.params[name] for name in expected} == (
+            expected
+        )
+        if "mode" in extras:
+            assert result.params["mode"] == spec.capabilities["mode"]
+        if "giant_n" in extras:
+            assert 0 < result.params["giant_n"] <= overrides["n"]
+
+    def _fake(self):
+        registry = Registry()
+
+        @registry.register(
+            "EX",
+            title="a fake experiment",
+            params=(
+                Param("sizes", INT_TUPLE, (1, 2)),
+                Param("n", INT, 3),
+            ),
+            capabilities=("jobs",),
+        )
+        def ex_fake(ctx, result, *, sizes, n):
+            """EX: records its inputs."""
+            result.derived["n"] = float(n)
+
+        return registry, ex_fake
+
+    def test_fake_spec_header_and_function(self):
+        registry, ex_fake = self._fake()
+        assert ex_fake is registry.get("EX").function
+        assert ex_fake.__name__ == "ex_fake"
+        assert ex_fake.__doc__ == "EX: records its inputs."
+        assert list(inspect.signature(ex_fake).parameters) == [
+            "sizes", "n", "jobs",
+        ]
+        result = ex_fake((4, 5), jobs=1)
+        assert result.experiment_id == "EX"
+        assert result.title == "a fake experiment"
+        assert result.params == {"sizes": [4, 5], "n": 3}
+        assert result.derived == {"n": 3.0}
+
+    def test_positional_binding_in_declared_order(self):
+        _, ex_fake = self._fake()
+        result = ex_fake((7,), 9)
+        assert result.params == {"sizes": [7], "n": 9}
+        from repro.core.experiments import e10_equivalence_exact
+
+        positional = e10_equivalence_exact(6, (0.5, 1.0))
+        assert positional.params == {"n": 6, "p_values": [0.5, 1.0]}
+        keyword = e10_equivalence_exact(p_values=(0.5, 1.0), n=6)
+        assert positional.derived == keyword.derived
+
+    def test_unknown_or_surplus_arguments_raise_type_error(self):
+        _, ex_fake = self._fake()
+        with pytest.raises(TypeError, match="bogus"):
+            ex_fake(bogus=1)
+        with pytest.raises(TypeError):
+            ex_fake((1,), 2, 3, 4)
+        with pytest.raises(TypeError):
+            ex_fake((1,), sizes=(2,))
+        from repro.core.experiments import e4_event_probability
+
+        # E4 declares no capabilities, so it has no jobs parameter.
+        with pytest.raises(TypeError, match="jobs"):
+            e4_event_probability(jobs=2)
+
+
 class TestRegistrySemantics:
     def test_ids_are_e1_to_e22(self):
         assert REGISTRY.ids() == [f"E{i}" for i in range(1, 23)]
@@ -178,7 +273,6 @@ class TestRegistrySemantics:
         assert context.jobs == CAPABILITY_PARAMS["jobs"][1]
         assert context.store is CAPABILITY_PARAMS["cache"][1]
         assert context.mode == CAPABILITY_PARAMS["mode"][1]
-        assert context.store_backend is CAPABILITY_PARAMS["store"][1]
 
 
 class TestAuditedAxes:
@@ -337,6 +431,21 @@ class TestCLIListing:
             for line in lines
         )
         assert any("E20" in line for line in lines)
+
+    def test_readme_index_is_the_markdown_listing(self):
+        """README's experiment index is generated by ``repro list
+        --markdown``; it must not drift from the registry."""
+        import os
+
+        readme = os.path.join(
+            os.path.dirname(__file__), os.pardir, "README.md"
+        )
+        with open(readme, encoding="utf-8") as handle:
+            text = handle.read()
+        begin = "<!-- registry-index:begin (repro list --markdown) -->"
+        end = "<!-- registry-index:end -->"
+        block = text.split(begin, 1)[1].split(end, 1)[0]
+        assert block.strip() == format_listing(markdown=True)
 
     def test_markdown_listing_is_a_table(self):
         rendered = format_listing(markdown=True)
