@@ -3,7 +3,7 @@
 
 PYTEST = PYTHONPATH=src python -m pytest
 
-.PHONY: verify verify-full ci ci-numpy ci-no-numpy ci-smoke ci-corpus-smoke bench
+.PHONY: verify verify-full ci ci-numpy ci-no-numpy ci-smoke ci-store-smoke ci-corpus-smoke bench
 
 # Tier-1: the fast suite (pytest.ini excludes `slow`-marked tests).
 verify:
@@ -29,9 +29,10 @@ verify-full:
 # explicit coalescing window with a small batch-max so the batch-max
 # flush path runs, and once with a zero window, which dispatches
 # without waiting through the same dispatcher), the trial-store smoke
-# (sqlite cold fill, warm replay with identical output and a nonzero
-# hit tally, stat, a verified migration back to json-files) and the
-# store-agnostic tier-1 subset with sqlite as the process default.
+# (sqlite cold fill, warm replay with identical output and exact
+# hit/miss tallies, stat, a verified migration back to json-files),
+# run once at --jobs 1 and once at --jobs 2, and the store-agnostic
+# tier-1 subset with sqlite as the process default.
 #
 # ci-numpy adds the tier-1 suite, the corpus-cache smoke (cold fill,
 # warm replay with identical output and exact hit/miss tallies,
@@ -48,6 +49,7 @@ NUMPY_SHIM = mkdir -p $(NO_NUMPY) && printf 'raise ImportError("numpy disabled f
 SMOKE_PATH = src
 REPRO = PYTHONPATH=$(SMOKE_PATH) python -m repro
 STORE_SMOKE = $(REPRO) run E17 --quick --set sizes=60,120 --set num_graphs=2 --cache-dir .ci-store --store-backend sqlite
+STORE_JOBS = 1
 CORPUS_SMOKE = PYTHONPATH=src python -m repro run E17 --quick --set sizes=60,120 --set num_graphs=2 --corpus-dir .ci-corpus
 CORPUS_JOBS = 1
 
@@ -89,18 +91,22 @@ ci-smoke:
 	$(REPRO) serve --sizes 120 --seeds 3 --smoke
 	$(REPRO) serve --sizes 120 --seeds 3 --batch-window 5 --batch-max 8 --smoke
 	$(REPRO) serve --sizes 120 --seeds 3 --batch-window 0 --smoke
+	$(MAKE) --no-print-directory ci-store-smoke STORE_JOBS=1 SMOKE_PATH=$(SMOKE_PATH)
+	$(MAKE) --no-print-directory ci-store-smoke STORE_JOBS=2 SMOKE_PATH=$(SMOKE_PATH)
+	PYTHONPATH=$(SMOKE_PATH) REPRO_STORE_BACKEND=sqlite python -m pytest -x -q tests/test_store_backends.py tests/test_result_store.py tests/test_runner.py tests/test_registry.py
+
+ci-store-smoke:
 	rm -rf .ci-store
-	$(STORE_SMOKE) | tee .ci-store-cold.log
-	grep -q "store: 0 hits" .ci-store-cold.log
-	$(STORE_SMOKE) | tee .ci-store-warm.log
-	grep -Eq "store: [1-9][0-9]* hits, 0 misses" .ci-store-warm.log
+	$(STORE_SMOKE) --jobs $(STORE_JOBS) | tee .ci-store-cold.log
+	grep -q "store: 0 hits, 4 misses" .ci-store-cold.log
+	$(STORE_SMOKE) --jobs $(STORE_JOBS) | tee .ci-store-warm.log
+	grep -q "store: 4 hits, 0 misses" .ci-store-warm.log
 	grep -v "^store:" .ci-store-cold.log > .ci-store-cold.trimmed
 	grep -v "^store:" .ci-store-warm.log > .ci-store-warm.trimmed
 	diff .ci-store-cold.trimmed .ci-store-warm.trimmed
 	$(REPRO) store stat .ci-store
 	$(REPRO) store migrate .ci-store --from sqlite --to json-files
 	rm -rf .ci-store .ci-store-cold.log .ci-store-warm.log .ci-store-cold.trimmed .ci-store-warm.trimmed
-	PYTHONPATH=$(SMOKE_PATH) REPRO_STORE_BACKEND=sqlite python -m pytest -x -q tests/test_store_backends.py tests/test_result_store.py tests/test_runner.py tests/test_registry.py
 
 # Paper-scale benchmark harness.  REPRO_BENCH_JOBS fans trials out
 # over worker processes; REPRO_BENCH_CACHE_DIR replays finished trials.

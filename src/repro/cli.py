@@ -79,7 +79,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import repro.core.experiments  # noqa: F401 — registers E1..E22
 from repro.core.registry import (
@@ -250,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--json-dir",
         default=None,
         help=(
-            "with 'all' or a comma-separated list: write one JSON "
-            "record per experiment here"
+            "write one JSON record per experiment here, named "
+            "<id>.json (e.g. e17.json)"
         ),
     )
     run.add_argument(
@@ -772,10 +772,14 @@ def _resolve_overrides(
 def _run_one(
     spec: ExperimentSpec,
     args,
-    json_path: Optional[str],
+    json_paths: Sequence[Optional[str]],
     strict: bool,
 ) -> None:
-    """Run one registered spec with the CLI's overrides and context."""
+    """Run one registered spec with the CLI's overrides and context.
+
+    The result record is written to every non-``None`` path in
+    ``json_paths``.
+    """
     overrides = _resolve_overrides(spec, args, strict)
     context_kwargs = _context_kwargs(spec, args)
     result = spec.run(overrides, **context_kwargs)
@@ -783,9 +787,18 @@ def _run_one(
     if args.plot:
         _plot_scaling_tables(result)
     print()
-    if json_path:
-        save_result(result, json_path)
-        print(f"wrote {json_path}")
+    for json_path in json_paths:
+        if json_path:
+            save_result(result, json_path)
+            print(f"wrote {json_path}")
+
+
+def _json_dir_path(args, experiment_id: str) -> Optional[str]:
+    """Where ``--json-dir`` puts ``experiment_id``'s record (if set)."""
+    if not args.json_dir:
+        return None
+    os.makedirs(args.json_dir, exist_ok=True)
+    return os.path.join(args.json_dir, f"{experiment_id.lower()}.json")
 
 
 def _requested_ids(text: str) -> Optional[List[str]]:
@@ -1243,23 +1256,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 1
 
     if args.command == "run":
-        if not args.corpus_dir:
-            return _run_main(args)
-        from repro.graphs.corpus import CORPUS_DIR_VARIABLE
-
-        # Workers inherit the environment, so the variable also
-        # activates the corpus in --jobs subprocesses; restored
-        # afterwards so in-process callers of main() (tests, other
-        # runs) are not left with a corpus they never asked for.
-        previous = os.environ.get(CORPUS_DIR_VARIABLE)
-        os.environ[CORPUS_DIR_VARIABLE] = args.corpus_dir
         try:
-            return _run_main(args)
-        finally:
-            if previous is None:
-                del os.environ[CORPUS_DIR_VARIABLE]
-            else:
-                os.environ[CORPUS_DIR_VARIABLE] = previous
+            return _run_in_corpus(args)
+        except OSError as error:
+            # An unusable --cache-dir, --json or --json-dir path.
+            print(f"error: {error}", file=sys.stderr)
+            return 1
 
     if args.command == "compare":
         from repro.core.compare import compare_results
@@ -1276,8 +1278,30 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 2  # pragma: no cover - parser.error raises
 
 
+def _run_in_corpus(args) -> int:
+    """:func:`_run_main` with ``--corpus-dir`` (if given) active."""
+    if not args.corpus_dir:
+        return _run_main(args)
+    from repro.graphs.corpus import CORPUS_DIR_VARIABLE
+
+    # Workers inherit the environment, so the variable also
+    # activates the corpus in --jobs subprocesses; restored
+    # afterwards so in-process callers of main() (tests, other
+    # runs) are not left with a corpus they never asked for.
+    previous = os.environ.get(CORPUS_DIR_VARIABLE)
+    os.environ[CORPUS_DIR_VARIABLE] = args.corpus_dir
+    try:
+        return _run_main(args)
+    finally:
+        if previous is None:
+            del os.environ[CORPUS_DIR_VARIABLE]
+        else:
+            os.environ[CORPUS_DIR_VARIABLE] = previous
+
+
 def _run_main(args) -> int:
-    """The ``repro run`` branch (corpus activation handled by main)."""
+    """The ``repro run`` branch (corpus activation handled by
+    :func:`_run_in_corpus`)."""
     from repro.graphs.corpus import reset_corpus_stats
     from repro.runner import reset_store_stats
 
@@ -1293,8 +1317,9 @@ def _run_main(args) -> int:
         return 2
     if len(ids) == 1:
         spec = REGISTRY.get(ids[0])
+        json_paths = [args.json, _json_dir_path(args, spec.id)]
         try:
-            _run_one(spec, args, args.json, strict=True)
+            _run_one(spec, args, json_paths, strict=True)
         except ReproError as error:
             print(
                 f"error: {spec.id} failed: {error}",
@@ -1316,14 +1341,9 @@ def _run_main(args) -> int:
     failures = 0
     for experiment_id in ids:
         spec = REGISTRY.get(experiment_id)
-        json_path = None
-        if args.json_dir:
-            os.makedirs(args.json_dir, exist_ok=True)
-            json_path = os.path.join(
-                args.json_dir, f"{experiment_id.lower()}.json"
-            )
+        json_path = _json_dir_path(args, experiment_id)
         try:
-            _run_one(spec, args, json_path, strict=False)
+            _run_one(spec, args, [json_path], strict=False)
         except ReproError as error:
             # One experiment rejecting a knob (e.g. E19 and
             # --mode independent) must not abort the sweep or

@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from typing import Dict, Sequence
 
-from repro.analysis.diameter import estimate_diameter
 from repro.analysis.scaling import (
     fit_logarithmic,
     fit_power_scaling,
@@ -70,6 +69,7 @@ from repro.core.trials import (
     churn_search_trial,
     churn_survival_trial,
     degree_fit_trial,
+    diameter_search_trial,
     family_spec,
     result_from_dict,
     simulation_slowdown_trial,
@@ -694,9 +694,9 @@ def e8_kleinberg(ctx, result, *, sides, r_values, pairs_per_grid, seed):
 def e9_diameter_vs_search(ctx, result, *, sizes, p, m, num_graphs, seed):
     """E9: O(log n) diameter yet polynomial search cost (the headline).
 
-    The search cells run on frozen snapshots like every other
-    search-running experiment; the diameter estimate walks
-    the freshly built graph directly (it is BFS-bound either way).
+    One trial per realisation builds the frozen snapshot once,
+    estimates its diameter and searches it with the high-degree
+    walker, so every realisation of every size goes out in one batch.
     """
     family = MoriFamily(p=p, m=m)
 
@@ -704,26 +704,41 @@ def e9_diameter_vs_search(ctx, result, *, sizes, p, m, num_graphs, seed):
         title=f"Diameter and search cost, {family.name}",
         columns=("n", "mean diameter", "mean search requests"),
     )
+    reference = trial_ref(diameter_search_trial)
+    spec = family_spec(family)
+    specs = []
+    for index, size in enumerate(sizes):
+        cell_seed = substream(seed, index)
+        specs.extend(
+            TrialSpec(
+                experiment_id="E9",
+                trial=reference,
+                params={
+                    "family": spec,
+                    "size": size,
+                    "portfolio": "high-degree",
+                    "diameter_seed": substream(cell_seed, 500 + rep),
+                },
+                seed=substream(cell_seed, rep),
+            )
+            for rep in range(num_graphs)
+        )
+    outcomes = ctx.run_trials(specs)
     diameters = []
     costs = []
     for index, size in enumerate(sizes):
-        cell_seed = substream(seed, index)
-        diameter_total = 0.0
-        for rep in range(num_graphs):
-            graph = family.build(size, seed=substream(cell_seed, rep))
-            diameter_total += estimate_diameter(
-                graph, seed=substream(cell_seed, 500 + rep)
-            )
-        mean_diameter = diameter_total / num_graphs
-        cost_cell = ctx.measure_search_cost(
-            family,
-            size,
-            "high-degree",
-            num_graphs=num_graphs,
-            runs_per_graph=1,
-            seed=cell_seed,
+        cell = outcomes[index * num_graphs:(index + 1) * num_graphs]
+        values = [outcome.value for outcome in cell]
+        mean_diameter = (
+            sum(value["diameter"] for value in values) / num_graphs
         )
-        mean_cost = cost_cell.summaries["high-degree"].mean_requests
+        mean_cost = summarize_results(
+            [
+                result_from_dict(run)
+                for value in values
+                for run in value["results"]["high-degree"]
+            ]
+        ).mean_requests
         table.add_row(size, mean_diameter, mean_cost)
         diameters.append(mean_diameter)
         costs.append(mean_cost)

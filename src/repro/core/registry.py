@@ -22,8 +22,7 @@ The registry replaces that with three declarative pieces:
 * :class:`ExecutionContext` — the resolved execution axes carried
   *once* per run.  Bodies receive it as their first argument and ask
   it to dispatch work (:meth:`ExecutionContext.run_trials`,
-  :meth:`ExecutionContext.measure_scaling`,
-  :meth:`ExecutionContext.measure_search_cost`) instead of forwarding
+  :meth:`ExecutionContext.measure_scaling`) instead of forwarding
   five copy-pasted kwargs to every call.
 
 An experiment is declared once, with :meth:`Registry.register`: the
@@ -195,20 +194,6 @@ class ExecutionContext:
         return measure_scaling(
             family,
             sizes,
-            factories,
-            jobs=self.jobs,
-            store=self.store,
-            experiment_id=self.experiment_id,
-            **kwargs,
-        )
-
-    def measure_search_cost(self, family, size, factories, **kwargs):
-        """One cost cell through this context's execution axes."""
-        from repro.core.searchability import measure_search_cost
-
-        return measure_search_cost(
-            family,
-            size,
             factories,
             jobs=self.jobs,
             store=self.store,

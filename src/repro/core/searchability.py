@@ -11,19 +11,29 @@ because one portfolio member — the omniscient window baseline — needs
 the realised graph and window at construction time.  Plain algorithms
 are wrapped with :func:`constant_factory`.
 
-Portfolios may also be passed by *name* (see
-:data:`repro.core.trials.PORTFOLIOS`); named portfolios are dispatched
-through :mod:`repro.runner` one graph realisation at a time, which is
-what enables ``jobs > 1`` worker fan-out and result-store replay while
-staying draw-for-draw identical to the serial in-process loop.
+Every realisation is measured by one per-graph body, a trial function
+of :mod:`repro.core.trials`: ``search_cost_graph_trial`` for
+independent builds, ``trajectory_scaling_trial`` for coupled
+checkpoints.  A portfolio passed by *name* (see
+:data:`repro.core.trials.PORTFOLIOS`) runs that body through
+:mod:`repro.runner`, which enables ``jobs > 1`` worker fan-out and
+result-store replay; a factory dict (closures) calls the same body
+in-process with the same seeds.  The two differ only in where the body
+runs, so they give the same numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.families import GraphFamily
+from repro.core.trials import (
+    family_spec,
+    result_from_dict,
+    search_cost_graph_trial,
+    trajectory_scaling_trial,
+)
 from repro.errors import ExperimentError
 from repro.equivalence.events import equivalence_window
 from repro.graphs.frozen import GraphBackend
@@ -125,96 +135,50 @@ class CostMeasurement:
     results: Dict[str, List[SearchResult]] = field(default_factory=dict)
 
 
-def _build_cell_specs(
-    experiment_id: str,
+def _graph_values(
+    trial: Callable[..., Any],
+    graphs: Sequence[Tuple[Dict[str, Any], int]],
     family: GraphFamily,
-    size: int,
-    portfolio: str,
-    num_graphs: int,
-    runs_per_graph: int,
-    budget: Optional[int],
-    seed: int,
-    neighbor_success: bool,
-    start_rule: str,
-) -> List[TrialSpec]:
-    """One :class:`TrialSpec` per graph realisation of a (size, seed) cell."""
-    from repro.core.trials import family_spec, search_cost_graph_trial
+    factories: Union[str, Dict[str, AlgorithmFactory]],
+    jobs: int,
+    store: Optional[TrialStore],
+    experiment_id: str,
+) -> List[Any]:
+    """The value of ``trial`` for every ``(params, seed)`` realisation.
 
-    reference = trial_ref(search_cost_graph_trial)
-    params = {
-        "family": family_spec(family),
-        "size": size,
-        "portfolio": portfolio,
-        "runs_per_graph": runs_per_graph,
-        "budget": budget,
-        "neighbor_success": neighbor_success,
-        "start_rule": start_rule,
-    }
-    return [
+    A named portfolio dispatches one runner spec per realisation, with
+    the family spec and the portfolio name added to ``params``, so
+    ``jobs`` workers and a result ``store`` apply.  A factory dict
+    calls the same trial in-process with the family object and the
+    closures themselves, on the same seeds: both paths run one
+    per-graph body and differ only in where it runs.
+    """
+    if not isinstance(factories, str):
+        return [
+            trial(family=family, portfolio=factories, seed=seed, **params)
+            for params, seed in graphs
+        ]
+    reference = trial_ref(trial)
+    shared = {"family": family_spec(family), "portfolio": factories}
+    specs = [
         TrialSpec(
             experiment_id=experiment_id,
             trial=reference,
-            params=params,
-            seed=substream(seed, graph_index),
+            params={**shared, **params},
+            seed=seed,
         )
-        for graph_index in range(num_graphs)
+        for params, seed in graphs
     ]
-
-
-def _portfolio_grid_in_process(
-    graph,
-    factories: Dict[str, AlgorithmFactory],
-    runs_per_graph: int,
-    *,
-    start: int,
-    target: int,
-    budget: Optional[int],
-    neighbor_success: bool,
-    graph_seed: int,
-) -> Dict[str, List[Dict]]:
-    """One graph's whole portfolio grid through the shared executor.
-
-    The in-process factory paths (independent and trajectory) both
-    delegate here, which delegates to the trial layer's
-    ``_execute_cells`` — one derivation of run seeds, one engine
-    choice — so closures get the ensemble kernel too, and the
-    factory and named-portfolio paths cannot drift apart.  Returns
-    what a named portfolio's graph trial returns: algorithm name ->
-    serialised runs, in the serial loop's order.
-    """
-    from repro.core.trials import _execute_cells
-
-    cells = [
-        {"algorithm": name, "run_index": run_index}
-        for name in factories
-        for run_index in range(runs_per_graph)
+    return [
+        outcome.value
+        for outcome in run_trials(specs, jobs=jobs, store=store)
     ]
-    cell_results = _execute_cells(
-        graph,
-        factories,
-        cells,
-        default_start=start,
-        default_target=target,
-        budget=budget,
-        neighbor_success=neighbor_success,
-        seed=graph_seed,
-    )
-    collected: Dict[str, List[Dict]] = {}
-    for cell, value in zip(cells, cell_results):
-        collected.setdefault(cell["algorithm"], []).append(value)
-    return collected
 
 
 def _fold_cell(
     family: GraphFamily, size: int, values: Sequence[Dict]
 ) -> CostMeasurement:
-    """Aggregate per-graph trial values back into a cell measurement.
-
-    Every path folds here: the runner's named-portfolio trial values
-    and the in-process factory grids share one shape.
-    """
-    from repro.core.trials import result_from_dict
-
+    """Aggregate per-graph portfolio values into a cell measurement."""
     measurement = CostMeasurement(family_name=family.name, size=size)
     collected: Dict[str, List[SearchResult]] = {}
     for value in values:
@@ -226,6 +190,46 @@ def _fold_cell(
         measurement.results[name] = results
         measurement.summaries[name] = summarize_results(results)
     return measurement
+
+
+def _cost_cells(
+    family: GraphFamily,
+    cells: Sequence[Tuple[int, int]],
+    factories: Union[str, Dict[str, AlgorithmFactory]],
+    num_graphs: int,
+    grid: Dict[str, Any],
+    jobs: int,
+    store: Optional[TrialStore],
+    experiment_id: str,
+) -> List[CostMeasurement]:
+    """One measurement per ``(size, cell seed)`` of independent builds.
+
+    Realisation ``g`` of a cell is built from ``substream(cell seed,
+    g)``.  Every realisation of every cell goes out in one batch, so
+    ``jobs`` workers stay busy across size cells.
+    """
+    graphs = [
+        ({"size": size, **grid}, substream(cell_seed, graph_index))
+        for size, cell_seed in cells
+        for graph_index in range(num_graphs)
+    ]
+    values = _graph_values(
+        search_cost_graph_trial,
+        graphs,
+        family,
+        factories,
+        jobs,
+        store,
+        experiment_id,
+    )
+    return [
+        _fold_cell(
+            family,
+            size,
+            values[index * num_graphs:(index + 1) * num_graphs],
+        )
+        for index, (size, _) in enumerate(cells)
+    ]
 
 
 def _validate_request(
@@ -290,9 +294,10 @@ def measure_search_cost(
     :func:`repro.core.trials.portfolio_factories`): named portfolios
     dispatch one trial per graph realisation through the runner, so
     ``jobs`` workers and a result ``store`` apply.  Explicit factory
-    dicts (closures) cannot cross process boundaries and always run
-    serially in-process; both paths produce identical numbers for the
-    same portfolio.
+    dicts (closures) cannot cross process boundaries; they run the
+    same trial function serially in-process, so both paths produce
+    identical numbers for the same portfolio.  This is the one-size
+    case of :func:`measure_scaling`'s independent grid.
 
     Each realisation is searched as a read-optimised
     :class:`~repro.graphs.frozen.FrozenGraph` snapshot; graphs build
@@ -304,61 +309,23 @@ def measure_search_cost(
     _validate_request(
         factories, num_graphs, runs_per_graph, start_rule, jobs, store
     )
-
-    if isinstance(factories, str):
-        specs = _build_cell_specs(
-            experiment_id,
-            family,
-            size,
-            factories,
-            num_graphs,
-            runs_per_graph,
-            budget,
-            seed,
-            neighbor_success,
-            start_rule,
-        )
-        outcomes = run_trials(specs, jobs=jobs, store=store)
-        return _fold_cell(
-            family, size, [outcome.value for outcome in outcomes]
-        )
-
-    from repro.core.trials import build_graph_snapshot
-
-    values = []
-    for graph_index in range(num_graphs):
-        graph_seed = substream(seed, graph_index)
-        graph = build_graph_snapshot(family, size, graph_seed)
-        target = family.theorem_target(graph)
-        start = _choose_start(
-            family, graph, target, start_rule, graph_seed
-        )
-        values.append(
-            _portfolio_grid_in_process(
-                graph,
-                factories,
-                runs_per_graph,
-                start=start,
-                target=target,
-                budget=budget,
-                neighbor_success=neighbor_success,
-                graph_seed=graph_seed,
-            )
-        )
-    return _fold_cell(family, size, values)
-
-
-def _choose_start(
-    family: GraphFamily,
-    graph: GraphBackend,
-    target: int,
-    start_rule: str,
-    graph_seed: int,
-) -> int:
-    """Resolve a start rule to a concrete vertex (never the target)."""
-    from repro.core.trials import choose_start
-
-    return choose_start(family, graph, target, start_rule, graph_seed)
+    grid = {
+        "runs_per_graph": runs_per_graph,
+        "budget": budget,
+        "neighbor_success": neighbor_success,
+        "start_rule": start_rule,
+    }
+    (cell,) = _cost_cells(
+        family,
+        [(size, seed)],
+        factories,
+        num_graphs,
+        grid,
+        jobs,
+        store,
+        experiment_id,
+    )
+    return cell
 
 
 @dataclass
@@ -438,11 +405,11 @@ def measure_scaling(
 ) -> ScalingMeasurement:
     """Run :func:`measure_search_cost` across a size grid.
 
-    For a named portfolio the *entire* grid — every (size, graph)
-    realisation — is dispatched in one runner batch, so ``jobs``
-    workers stay busy across size cells rather than draining one cell
-    at a time.  Per-cell seeds are ``substream(seed, size_index)``
-    either way, so the batch is numerically identical to the loop.
+    The *entire* grid — every (size, graph) realisation — goes out in
+    one batch, so for a named portfolio ``jobs`` workers stay busy
+    across size cells rather than draining one cell at a time.
+    Per-cell seeds are ``substream(seed, size_index)``, so the batch is
+    numerically identical to a per-size loop.
 
     ``mode`` selects how the per-size realisations relate:
 
@@ -476,152 +443,45 @@ def measure_scaling(
     measurement = ScalingMeasurement(
         family_name=family.name, sizes=ordered
     )
+    grid = {
+        "runs_per_graph": runs_per_graph,
+        "budget": None,
+        "neighbor_success": neighbor_success,
+        "start_rule": start_rule,
+    }
 
-    if mode == "trajectory":
-        return _measure_scaling_trajectory(
-            measurement,
+    if mode == "independent":
+        cells = _cost_cells(
             family,
-            ordered,
+            [
+                (size, substream(seed, index))
+                for index, size in enumerate(ordered)
+            ],
             factories,
             num_graphs,
-            runs_per_graph,
-            seed,
-            neighbor_success,
-            start_rule,
+            grid,
             jobs,
             store,
             experiment_id,
         )
-
-    if isinstance(factories, str):
-        grid_specs: List[TrialSpec] = []
-        offsets = []
-        for index, size in enumerate(ordered):
-            cell_specs = _build_cell_specs(
-                experiment_id,
-                family,
-                size,
-                factories,
-                num_graphs,
-                runs_per_graph,
-                None,
-                substream(seed, index),
-                neighbor_success,
-                start_rule,
-            )
-            offsets.append((size, len(grid_specs), len(cell_specs)))
-            grid_specs.extend(cell_specs)
-        outcomes = run_trials(grid_specs, jobs=jobs, store=store)
-        for size, offset, count in offsets:
-            measurement.cells[size] = _fold_cell(
-                family,
-                size,
-                [o.value for o in outcomes[offset:offset + count]],
-            )
+        measurement.cells = dict(zip(ordered, cells))
         return measurement
 
-    for index, size in enumerate(ordered):
-        measurement.cells[size] = measure_search_cost(
-            family,
-            size,
-            factories,
-            num_graphs=num_graphs,
-            runs_per_graph=runs_per_graph,
-            seed=substream(seed, index),
-            neighbor_success=neighbor_success,
-            start_rule=start_rule,
-            jobs=jobs,
-            store=store,
-            experiment_id=experiment_id,
-        )
-    return measurement
-
-
-def _measure_scaling_trajectory(
-    measurement: ScalingMeasurement,
-    family: GraphFamily,
-    ordered: List[int],
-    factories: Union[str, Dict[str, AlgorithmFactory]],
-    num_graphs: int,
-    runs_per_graph: int,
-    seed: int,
-    neighbor_success: bool,
-    start_rule: str,
-    jobs: int,
-    store: Optional[TrialStore],
-    experiment_id: str,
-) -> ScalingMeasurement:
-    """The ``mode='trajectory'`` body of :func:`measure_scaling`.
-
-    One realisation per ``num_graphs``, evolved to ``max(ordered)``
-    and checkpoint-snapshotted at every size.  Each checkpoint's cells
-    reproduce :func:`repro.core.trials.search_cost_graph_trial` with
-    ``size=n`` and the realisation's seed bit-for-bit.
-    """
-    graph_seeds = trajectory_seeds(seed, num_graphs)
-
-    if isinstance(factories, str):
-        from repro.core.trials import (
-            family_spec,
-            trajectory_scaling_trial,
-        )
-        from repro.runner import (
-            split_trajectory_values,
-            trajectory_specs,
-        )
-
-        params = {
-            "family": family_spec(family),
-            "portfolio": factories,
-            "runs_per_graph": runs_per_graph,
-            "budget": None,
-            "neighbor_success": neighbor_success,
-            "start_rule": start_rule,
-        }
-        specs = trajectory_specs(
-            experiment_id,
-            trial_ref(trajectory_scaling_trial),
-            params,
-            ordered,
-            graph_seeds,
-        )
-        outcomes = run_trials(specs, jobs=jobs, store=store)
-        per_size = split_trajectory_values(outcomes, ordered)
-        for size in ordered:
-            measurement.cells[size] = _fold_cell(
-                family, size, per_size[size]
-            )
-        return measurement
-
-    from repro.core.trials import resolve_kernels, trajectory_snapshots
-
-    per_size: Dict[int, List[Dict]] = {size: [] for size in ordered}
-    for graph_seed in graph_seeds:
-        full_graph, marks = family.build_trajectory(
-            ordered, seed=graph_seed,
-            generator=resolve_kernels().generator,
-        )
-        for size, graph in trajectory_snapshots(
-            full_graph, marks, ordered
-        ):
-            target = family.theorem_target(graph)
-            start = _choose_start(
-                family, graph, target, start_rule, graph_seed
-            )
-            per_size[size].append(
-                _portfolio_grid_in_process(
-                    graph,
-                    factories,
-                    runs_per_graph,
-                    start=start,
-                    target=target,
-                    budget=None,
-                    neighbor_success=neighbor_success,
-                    graph_seed=graph_seed,
-                )
-            )
+    graphs = [
+        ({"sizes": ordered, **grid}, graph_seed)
+        for graph_seed in trajectory_seeds(seed, num_graphs)
+    ]
+    values = _graph_values(
+        trajectory_scaling_trial,
+        graphs,
+        family,
+        factories,
+        jobs,
+        store,
+        experiment_id,
+    )
     for size in ordered:
         measurement.cells[size] = _fold_cell(
-            family, size, per_size[size]
+            family, size, [value[str(size)] for value in values]
         )
     return measurement

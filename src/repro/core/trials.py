@@ -11,7 +11,11 @@ pins this.
 
 Graph families and algorithm portfolios cross process boundaries by
 *name*: :func:`family_spec` / :func:`build_family` serialize the former,
-:func:`portfolio_factories` resolves the latter.
+:func:`portfolio_factories` resolves the latter.  The search-cost
+trials also accept the objects themselves: the closure path of
+:mod:`repro.core.searchability` calls them in-process with a
+:class:`~repro.core.families.GraphFamily` and a factory dict, so named
+and closure portfolios run one per-graph body.
 
 Search trials run on a :class:`~repro.graphs.frozen.FrozenGraph`:
 after the evolving construction finishes, the graph is snapshotted so
@@ -19,7 +23,11 @@ the whole batch of search cells runs on the read-optimised CSR form
 (numpy-backed, or stdlib ``array`` without numpy).  Every number is the
 one the mutable :class:`~repro.graphs.base.MultiGraph` gives
 (``tests/test_frozen_graph.py`` and the regression pins enforce it), so
-the snapshot is not a trial parameter.
+the snapshot is not a trial parameter.  On each built graph,
+:func:`portfolio_grid` is the one search-cost step: it resolves the
+endpoints (:func:`graph_endpoints`), runs every ``(algorithm,
+run_index)`` cell and groups the runs by algorithm.  The independent,
+trajectory, churn and E9 diameter trials all call it.
 :func:`batched_search_trial` is the general form: one generated graph
 serves an explicit batch of (algorithm, start, target, run) cells, each
 with the same substream-derived run seed the serial loops used.
@@ -39,9 +47,10 @@ cache key.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, NamedTuple, Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.analysis.degrees import max_degree
+from repro.analysis.diameter import estimate_diameter
 from repro.analysis.powerlaw_fit import fit_power_law
 from repro.core.families import (
     BarabasiAlbertFamily,
@@ -49,6 +58,7 @@ from repro.core.families import (
     CooperFriezeFamily,
     GraphFamily,
     MoriFamily,
+    theorem_target_for_size,
 )
 from repro.errors import ExperimentError
 from repro.graphs.base import MultiGraph
@@ -82,10 +92,12 @@ __all__ = [
     "strong_factories",
     "portfolio_factories",
     "choose_start",
+    "graph_endpoints",
     "build_graph_snapshot",
     "Kernels",
     "resolve_kernels",
     "trajectory_snapshots",
+    "portfolio_grid",
     "search_cost_graph_trial",
     "batched_search_trial",
     "churn_search_trial",
@@ -94,6 +106,7 @@ __all__ = [
     "trajectory_slowdown_trial",
     "degree_fit_trial",
     "simulation_slowdown_trial",
+    "diameter_search_trial",
     "result_to_dict",
     "result_from_dict",
 ]
@@ -398,6 +411,21 @@ def choose_start(
             return start
 
 
+def graph_endpoints(
+    family: GraphFamily,
+    graph: GraphBackend,
+    start_rule: str,
+    graph_seed: int,
+) -> Tuple[int, int]:
+    """The ``(start, target)`` a search trial uses on ``graph``.
+
+    The target is the family's theorem target; the start follows
+    ``start_rule`` (:func:`choose_start`).
+    """
+    target = family.theorem_target(graph)
+    return choose_start(family, graph, target, start_rule, graph_seed), target
+
+
 # ----------------------------------------------------------------------
 # SearchResult (de)serialization for the result store
 # ----------------------------------------------------------------------
@@ -554,33 +582,52 @@ def _execute_cells(
     return results
 
 
-def search_cost_graph_trial(
+def _portfolio_args(family, portfolio):
+    """A search trial's ``family`` and ``portfolio`` as objects.
+
+    Runner specs carry a family spec and a portfolio name (both
+    JSON-serializable, both part of the cache key).  The closure path
+    of :mod:`repro.core.searchability` calls the same trial function
+    in-process with the :class:`GraphFamily` and the factory dict
+    themselves; both pass through unchanged.
+    """
+    family_obj = (
+        family if isinstance(family, GraphFamily) else build_family(family)
+    )
+    factories = (
+        portfolio
+        if isinstance(portfolio, dict)
+        else portfolio_factories(portfolio)
+    )
+    return family_obj, factories
+
+
+def portfolio_grid(
+    graph: GraphBackend,
+    family_obj: GraphFamily,
+    factories: Dict[str, Any],
     *,
-    family: Dict[str, Any],
-    size: int,
-    portfolio: str,
-    runs_per_graph: int = 2,
+    runs_per_graph: int,
+    seed: int,
     budget: Optional[int] = None,
     neighbor_success: bool = False,
     start_rule: str = "default",
-    seed: int = 0,
+    endpoints: Optional[Tuple[int, int]] = None,
 ) -> Dict[str, List[Dict[str, Any]]]:
-    """One graph realisation searched by a whole portfolio.
+    """One built graph searched ``runs_per_graph`` times per algorithm.
 
-    ``seed`` is the graph substream seed (what ``measure_search_cost``
-    derives as ``substream(seed, graph_index)``); all run seeds fan out
-    from it exactly as in the original serial loop, so the decomposed
-    grid is draw-for-draw identical to the monolithic one.  The
-    searches run on the frozen snapshot :func:`build_graph_snapshot`
-    returns; the construction and cell kernels are
-    :func:`resolve_kernels`'s.  Neither changes a number, only
-    wall-clock time.
+    The per-graph step every search-cost measurement shares.  The
+    target is the family's theorem target and the start follows
+    ``start_rule`` (:func:`choose_start`), unless ``endpoints`` gives
+    an explicit ``(start, target)`` (the churned overlay's).  The
+    ``(algorithm, run_index)`` grid runs through :func:`_execute_cells`
+    with ``seed`` as the graph seed, so every run seed is the serial
+    loop's.  Returns algorithm name -> serialised runs, in portfolio
+    and run order.
     """
-    family_obj = build_family(family)
-    factories = portfolio_factories(portfolio)
-    graph = build_graph_snapshot(family_obj, size, seed)
-    target = family_obj.theorem_target(graph)
-    start = choose_start(family_obj, graph, target, start_rule, seed)
+    start, target = endpoints or graph_endpoints(
+        family_obj, graph, start_rule, seed
+    )
     cells = [
         {"algorithm": name, "run_index": run_index}
         for name in factories
@@ -600,6 +647,42 @@ def search_cost_graph_trial(
     for cell, result in zip(cells, cell_results):
         collected.setdefault(cell["algorithm"], []).append(result)
     return collected
+
+
+def search_cost_graph_trial(
+    *,
+    family: Union[Dict[str, Any], GraphFamily],
+    size: int,
+    portfolio: Union[str, Dict[str, Any]],
+    runs_per_graph: int = 2,
+    budget: Optional[int] = None,
+    neighbor_success: bool = False,
+    start_rule: str = "default",
+    seed: int = 0,
+) -> Dict[str, List[Dict[str, Any]]]:
+    """One graph realisation searched by a whole portfolio.
+
+    ``seed`` is the graph substream seed (what ``measure_search_cost``
+    derives as ``substream(seed, graph_index)``); all run seeds fan out
+    from it exactly as in the original serial loop, so the decomposed
+    grid is draw-for-draw identical to the monolithic one.  The
+    searches run on the frozen snapshot :func:`build_graph_snapshot`
+    returns; the construction and cell kernels are
+    :func:`resolve_kernels`'s.  Neither changes a number, only
+    wall-clock time.
+    """
+    family_obj, factories = _portfolio_args(family, portfolio)
+    graph = build_graph_snapshot(family_obj, size, seed)
+    return portfolio_grid(
+        graph,
+        family_obj,
+        factories,
+        runs_per_graph=runs_per_graph,
+        seed=seed,
+        budget=budget,
+        neighbor_success=neighbor_success,
+        start_rule=start_rule,
+    )
 
 
 def batched_search_trial(
@@ -640,8 +723,7 @@ def batched_search_trial(
     family_obj = build_family(family)
     factories = portfolio_factories(portfolio)
     graph = build_graph_snapshot(family_obj, size, seed)
-    target = family_obj.theorem_target(graph)
-    start = choose_start(family_obj, graph, target, start_rule, seed)
+    start, target = graph_endpoints(family_obj, graph, start_rule, seed)
     return _execute_cells(
         graph,
         factories,
@@ -727,24 +809,16 @@ def churn_search_trial(
     steps = int(round(churn_rate * base.num_vertices))
     graph = process.run(steps)
     start, target = _churn_endpoints(family_obj, base, graph)
-    cells = [
-        {"algorithm": name, "run_index": run_index}
-        for name in factories
-        for run_index in range(runs_per_graph)
-    ]
-    cell_results = _execute_cells(
+    collected = portfolio_grid(
         graph,
+        family_obj,
         factories,
-        cells,
-        default_start=start,
-        default_target=target,
+        runs_per_graph=runs_per_graph,
+        seed=seed,
         budget=budget,
         neighbor_success=neighbor_success,
-        seed=seed,
+        endpoints=(start, target),
     )
-    collected: Dict[str, List[Dict[str, Any]]] = {}
-    for cell, result in zip(cells, cell_results):
-        collected.setdefault(cell["algorithm"], []).append(result)
     return {
         "results": collected,
         "steps": steps,
@@ -821,11 +895,19 @@ def churn_survival_trial(
     return {"initial_vertices": initial, "checkpoints": checkpoints}
 
 
+def _trajectory_checkpoints(family_obj: GraphFamily, sizes, seed: int):
+    """``(size, snapshot)`` pairs of one realisation evolved from ``seed``."""
+    full_graph, marks = family_obj.build_trajectory(
+        sizes, seed=seed, generator=resolve_kernels().generator
+    )
+    return trajectory_snapshots(full_graph, marks, sizes)
+
+
 def trajectory_scaling_trial(
     *,
-    family: Dict[str, Any],
+    family: Union[Dict[str, Any], GraphFamily],
     sizes: List[int],
-    portfolio: str,
+    portfolio: Union[str, Dict[str, Any]],
     runs_per_graph: int = 2,
     budget: Optional[int] = None,
     neighbor_success: bool = False,
@@ -844,37 +926,44 @@ def trajectory_scaling_trial(
     regression pins enforce it).  Keys are strings so the value
     round-trips unchanged through the JSON result store.
     """
-    family_obj = build_family(family)
-    factories = portfolio_factories(portfolio)
-    full_graph, marks = family_obj.build_trajectory(
-        sizes, seed=seed, generator=resolve_kernels().generator
-    )
-    values: Dict[str, Dict[str, List[Dict[str, Any]]]] = {}
-    for size, graph in trajectory_snapshots(full_graph, marks, sizes):
-        target = family_obj.theorem_target(graph)
-        start = choose_start(
-            family_obj, graph, target, start_rule, seed
-        )
-        cells = [
-            {"algorithm": name, "run_index": run_index}
-            for name in factories
-            for run_index in range(runs_per_graph)
-        ]
-        cell_results = _execute_cells(
+    family_obj, factories = _portfolio_args(family, portfolio)
+    return {
+        str(size): portfolio_grid(
             graph,
+            family_obj,
             factories,
-            cells,
-            default_start=start,
-            default_target=target,
+            runs_per_graph=runs_per_graph,
+            seed=seed,
             budget=budget,
             neighbor_success=neighbor_success,
-            seed=seed,
-            )
-        collected: Dict[str, List[Dict[str, Any]]] = {}
-        for cell, result in zip(cells, cell_results):
-            collected.setdefault(cell["algorithm"], []).append(result)
-        values[str(size)] = collected
-    return values
+            start_rule=start_rule,
+        )
+        for size, graph in _trajectory_checkpoints(family_obj, sizes, seed)
+    }
+
+
+def _slowdown(graph: GraphBackend, size: int) -> Dict[str, int]:
+    """E17's per-graph cell: strong vs simulated-weak cost, max degree.
+
+    Both searches run from vertex 1 to the theorem target of ``size``
+    with run seed 0; the inner algorithm is deterministic.
+    """
+    target = theorem_target_for_size(size)
+    strong_result = run_search(
+        HighDegreeStrongSearch(), graph, 1, target, seed=0
+    )
+    simulated_result = run_search(
+        WeakSimulationOfStrong(HighDegreeStrongSearch()),
+        graph,
+        1,
+        target,
+        seed=0,
+    )
+    return {
+        "strong_requests": strong_result.requests,
+        "weak_requests": simulated_result.requests,
+        "max_degree": max_degree(graph),
+    }
 
 
 def trajectory_slowdown_trial(
@@ -890,31 +979,8 @@ def trajectory_slowdown_trial(
     same ``seed`` (the inner searches are deterministic and the
     snapshot equals the independent build).
     """
-    from repro.core.families import theorem_target_for_size
-
-    family_obj = build_family(family)
-    full_graph, marks = family_obj.build_trajectory(
-        sizes, seed=seed, generator=resolve_kernels().generator
-    )
-    values: Dict[str, Dict[str, int]] = {}
-    for size, graph in trajectory_snapshots(full_graph, marks, sizes):
-        target = theorem_target_for_size(size)
-        strong_result = run_search(
-            HighDegreeStrongSearch(), graph, 1, target, seed=0
-        )
-        simulated_result = run_search(
-            WeakSimulationOfStrong(HighDegreeStrongSearch()),
-            graph,
-            1,
-            target,
-            seed=0,
-        )
-        values[str(size)] = {
-            "strong_requests": strong_result.requests,
-            "weak_requests": simulated_result.requests,
-            "max_degree": max_degree(graph),
-        }
-    return values
+    checkpoints = _trajectory_checkpoints(build_family(family), sizes, seed)
+    return {str(size): _slowdown(graph, size) for size, graph in checkpoints}
 
 
 def degree_fit_trial(
@@ -946,23 +1012,31 @@ def simulation_slowdown_trial(
     The inner algorithm is deterministic, so the per-instance ratio
     check is exact; the trial just reports the three raw quantities.
     """
-    from repro.core.families import theorem_target_for_size
+    graph = build_graph_snapshot(build_family(family), size, seed)
+    return _slowdown(graph, size)
 
-    family_obj = build_family(family)
+
+def diameter_search_trial(
+    *,
+    family: Dict[str, Any],
+    size: int,
+    portfolio: str,
+    diameter_seed: int,
+    seed: int = 0,
+) -> Dict[str, Any]:
+    """One E9 realisation: its diameter estimate and its search cost.
+
+    Builds the snapshot once from ``seed``, estimates its diameter with
+    the farthest-point sweeps seeded by ``diameter_seed``, and searches
+    it once per ``portfolio`` member (:func:`portfolio_grid`, default
+    start and theorem target).  Returns ``{"diameter": ...,
+    "results": {algorithm: [result dicts]}}``.
+    """
+    family_obj, factories = _portfolio_args(family, portfolio)
     graph = build_graph_snapshot(family_obj, size, seed)
-    target = theorem_target_for_size(size)
-    strong_result = run_search(
-        HighDegreeStrongSearch(), graph, 1, target, seed=0
-    )
-    simulated_result = run_search(
-        WeakSimulationOfStrong(HighDegreeStrongSearch()),
-        graph,
-        1,
-        target,
-        seed=0,
-    )
     return {
-        "strong_requests": strong_result.requests,
-        "weak_requests": simulated_result.requests,
-        "max_degree": max_degree(graph),
+        "diameter": estimate_diameter(graph, seed=diameter_seed),
+        "results": portfolio_grid(
+            graph, family_obj, factories, runs_per_graph=1, seed=seed
+        ),
     }

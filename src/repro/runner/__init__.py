@@ -7,17 +7,12 @@ their Monte-Carlo grids as lists of pure :class:`TrialSpec` units,
 :class:`TrialStore` backend (:data:`STORE_BACKENDS`: per-trial JSON
 files or a single WAL-mode SQLite database) replays completed cells
 across invocations, refusing entries written by other code versions.
-:func:`batched_specs` / :func:`unbatch_values` pack many per-search
-cells into one spec so a single generated graph snapshot serves the
-whole batch (see :mod:`repro.runner.batching`).
+:func:`trajectory_specs` / :func:`split_trajectory_values` pack a
+whole size grid into one spec per growth trajectory and split its
+per-checkpoint values back out (see :mod:`repro.runner.batching`).
 """
 
-from repro.runner.batching import (
-    batched_specs,
-    split_trajectory_values,
-    trajectory_specs,
-    unbatch_values,
-)
+from repro.runner.batching import split_trajectory_values, trajectory_specs
 from repro.runner.executor import run_trials
 from repro.runner.store import (
     MISS,
@@ -56,7 +51,6 @@ __all__ = [
     "TrialResult",
     "TrialSpec",
     "TrialStore",
-    "batched_specs",
     "detect_backends",
     "migrate_store",
     "open_store",
@@ -71,5 +65,4 @@ __all__ = [
     "store_stats",
     "trajectory_specs",
     "trial_ref",
-    "unbatch_values",
 ]

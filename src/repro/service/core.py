@@ -33,8 +33,8 @@ from repro.core.trials import (
     _execute_cells,
     build_family,
     build_graph_snapshot,
-    choose_start,
     family_spec,
+    graph_endpoints,
     portfolio_factories,
 )
 from repro.errors import ExperimentError
@@ -99,9 +99,9 @@ class GraphEntry:
     """One served snapshot and its batch-path identity.
 
     ``target`` and ``start`` are resolved once at load time with the
-    exact calls ``batched_search_trial`` makes per invocation
-    (``theorem_target`` then ``choose_start`` under the default rule),
-    so serving skips the per-query resolution without changing it.
+    call ``batched_search_trial`` makes per invocation
+    (``graph_endpoints`` under the default rule), so serving skips the
+    per-query resolution without changing it.
     """
 
     graph_id: str
@@ -136,8 +136,7 @@ def entry_from_snapshot(
 ) -> GraphEntry:
     """Wrap an already-built snapshot in its catalog entry."""
     family_obj = build_family(spec)
-    target = family_obj.theorem_target(snapshot)
-    start = choose_start(family_obj, snapshot, target, "default", seed)
+    start, target = graph_endpoints(family_obj, snapshot, "default", seed)
     graph_id = f"{spec.get('model', 'adhoc')}-n{size}-s{seed}"
     return GraphEntry(
         graph_id=graph_id,

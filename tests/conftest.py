@@ -85,3 +85,24 @@ def use_multigraph(monkeypatch):
         )
 
     return activate
+
+
+@pytest.fixture
+def dispatched_specs(monkeypatch):
+    """The trial specs the searchability engine hands the runner.
+
+    Wraps ``run_trials`` as :mod:`repro.core.searchability` sees it, so
+    a test can pin the cache keys a measurement really dispatches.
+    Returns the list the specs are appended to, in dispatch order.
+    """
+    import repro.core.searchability as searchability
+
+    dispatched = []
+    real_run_trials = searchability.run_trials
+
+    def recording_run_trials(specs, **kwargs):
+        dispatched.extend(specs)
+        return real_run_trials(specs, **kwargs)
+
+    monkeypatch.setattr(searchability, "run_trials", recording_run_trials)
+    return dispatched

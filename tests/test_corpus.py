@@ -308,13 +308,14 @@ class TestGeneratorCacheKey:
     """No kernel choice enters trial params, so stores filled under
     either kernel (or before the kernels were auto-selected) replay."""
 
-    def test_default_cell_keys_are_pinned(self):
-        from repro.core.searchability import _build_cell_specs
+    def test_default_cell_keys_are_pinned(self, dispatched_specs):
+        from repro.core.searchability import measure_search_cost
 
-        specs = _build_cell_specs(
-            "E1", MoriFamily(p=0.5, m=1), 60, "weak", 2, 1, None,
-            1, False, "default",
+        measure_search_cost(
+            MoriFamily(p=0.5, m=1), 60, "weak", num_graphs=2,
+            runs_per_graph=1, seed=1, experiment_id="E1",
         )
+        specs = dispatched_specs
         for spec in specs:
             assert "generator" not in spec.params
             assert "engine" not in spec.params

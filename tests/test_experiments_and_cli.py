@@ -193,6 +193,36 @@ class TestCLI:
         data = json.loads(json_path.read_text())
         assert data["experiment_id"] == "E10"
 
+    def test_single_run_writes_json_dir(self, tmp_path, capsys):
+        json_dir = tmp_path / "records"
+        assert main(
+            ["run", "E17", "--quick", "--json-dir", str(json_dir)]
+        ) == 0
+        data = json.loads((json_dir / "e17.json").read_text())
+        assert data["experiment_id"] == "E17"
+        assert f"wrote {json_dir / 'e17.json'}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag, target",
+        [
+            ("--cache-dir", "cache"),
+            ("--json", "out.json"),
+            ("--json-dir", "records"),
+        ],
+    )
+    def test_unusable_output_path_is_one_error_line(
+        self, tmp_path, capsys, flag, target
+    ):
+        # A regular file where a directory must be: every path below
+        # it is unusable, on any platform.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        path = str(blocker / target)
+        assert main(["run", "E17", "--quick", flag, path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
     def test_run_e4_quick_with_seed_override(self, capsys):
         assert main(["run", "E4", "--quick", "--seed", "99"]) == 0
         out = capsys.readouterr().out

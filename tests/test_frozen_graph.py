@@ -374,65 +374,30 @@ class TestBatchedTrials:
                 seed=3,
             )
 
-    def test_runner_batching_helpers(self):
-        from repro.core.families import MoriFamily as Fam
-        from repro.core.trials import (
-            batched_search_trial,
-            family_spec,
-        )
-        from repro.runner import (
-            batched_specs,
-            run_trials,
-            trial_ref,
-            unbatch_values,
-        )
-
-        spec = family_spec(Fam(p=0.5, m=1))
-        cells = [
-            {"algorithm": "flooding", "run_index": 0},
-            {"algorithm": "random-walk", "run_index": 0},
-        ]
-        specs = batched_specs(
-            "ADHOC",
-            trial_ref(batched_search_trial),
-            {"family": spec, "size": 80, "portfolio": "weak"},
-            cells,
-            graph_seeds=[1, 2],
-        )
-        assert [s.seed for s in specs] == [1, 2]
-        outcomes = run_trials(specs)
-        per_graph = unbatch_values(outcomes, len(cells))
-        assert len(per_graph) == 2
-        assert per_graph[0] == batched_search_trial(
-            family=spec, size=80, portfolio="weak", cells=cells, seed=1
-        )
-        with pytest.raises(ExperimentError):
-            unbatch_values(outcomes, len(cells) + 1)
-        with pytest.raises(ExperimentError):
-            batched_specs(
-                "ADHOC",
-                trial_ref(batched_search_trial),
-                {},
-                [],
-                graph_seeds=[1],
-            )
-
-    def test_default_backend_keeps_cache_keys_stable(self):
+    def test_default_backend_keeps_cache_keys_stable(
+        self, dispatched_specs
+    ):
         """Trial values do not depend on the graph form, so the
         snapshot stays out of the cache key: stores filled before
         snapshots existed (or under the old ``--backend`` default) keep
         replaying."""
         from repro.core.families import MoriFamily as Fam
-        from repro.core.searchability import _build_cell_specs
+        from repro.core.searchability import measure_search_cost
+        from repro.runner import params_hash
 
-        (spec,) = _build_cell_specs(
-            "E1", Fam(p=0.5, m=1), 60, "weak", 1, 1, None, 1,
-            False, "default",
+        measure_search_cost(
+            Fam(p=0.5, m=1), 60, "weak", num_graphs=1,
+            runs_per_graph=1, seed=1, experiment_id="E1",
         )
+        (spec,) = dispatched_specs
         assert sorted(spec.params) == [
             "budget", "family", "neighbor_success", "portfolio",
             "runs_per_graph", "size", "start_rule",
         ]
+        assert params_hash(spec.trial, spec.params) == (
+            "4349c08dd8dd4ac96d7205f3d1a8b6de"
+            "46cf506699273e46fcbf1cec2541976d"
+        )
 
 
 def _snapshot_digest(graph) -> str:

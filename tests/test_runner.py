@@ -334,24 +334,49 @@ class TestBoundedSubmission:
 
 
 class TestSearchCostTrialEquivalence:
-    """The runner path reproduces the legacy in-process loop exactly."""
+    """Named portfolios (runner) and factory dicts (in-process) agree."""
 
-    def test_named_portfolio_matches_factory_dict(self):
+    @pytest.mark.parametrize(
+        "start_rule", ["default", "random", "newest-other"]
+    )
+    @pytest.mark.parametrize(
+        "measure", ["search_cost", "independent", "trajectory"]
+    )
+    def test_named_portfolio_matches_factory_dict(
+        self, measure, start_rule
+    ):
+        """Closures run the named portfolio's per-graph body in-process:
+        same results and summaries for every measurement kind and
+        start rule."""
         from repro.core.families import MoriFamily
-        from repro.core.searchability import measure_search_cost
+        from repro.core.searchability import (
+            measure_scaling,
+            measure_search_cost,
+        )
         from repro.core.trials import portfolio_factories
 
         family = MoriFamily(p=0.5, m=1)
-        legacy = measure_search_cost(
-            family, 60, portfolio_factories("high-degree"),
+        kwargs = dict(
             num_graphs=2, runs_per_graph=2, seed=5,
+            start_rule=start_rule,
         )
-        runner = measure_search_cost(
-            family, 60, "high-degree",
-            num_graphs=2, runs_per_graph=2, seed=5,
-        )
-        assert legacy.results == runner.results
-        assert legacy.summaries == runner.summaries
+
+        def measure_cells(portfolio):
+            if measure == "search_cost":
+                return [measure_search_cost(family, 60, portfolio, **kwargs)]
+            measurement = measure_scaling(
+                family, (40, 80), portfolio, mode=measure, **kwargs
+            )
+            return [measurement.cells[size] for size in measurement.sizes]
+
+        closure = measure_cells(portfolio_factories("weak-omniscient"))
+        named = measure_cells("weak-omniscient")
+        assert [cell.results for cell in closure] == [
+            cell.results for cell in named
+        ]
+        assert [cell.summaries for cell in closure] == [
+            cell.summaries for cell in named
+        ]
 
     def test_scaling_validates_on_runner_path(self):
         from repro.core.families import MoriFamily

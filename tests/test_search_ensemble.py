@@ -395,14 +395,6 @@ class TestEngineTrialAxis:
             assert _cells_under("ensemble", **kwargs) == serial
             assert values[str(size)] == _grouped(cells, serial)
 
-    def test_batched_specs_carry_no_kernel_params(self):
-        from repro.runner import batched_specs
-
-        cells = [{"algorithm": "random-walk", "run_index": 0}]
-        base = {"family": self.FAMILY, "size": 60, "portfolio": "weak"}
-        specs = batched_specs("EX", "m:f", base, cells, [0])
-        assert specs[0].params == {**base, "cells": cells}
-
 
 class TestEngineValidation:
     def test_unknown_engine_rejected(self):
